@@ -1,5 +1,6 @@
 """Class censuses, the exhaustive crosscheck, and sampling."""
 
+import hashlib
 import json
 import random
 
@@ -196,3 +197,79 @@ def test_normal_form_agrees_with_census_at_dim4():
         cert = normal_form_certificate(r)
         assert cert is not None
         assert cert.replay() == r
+
+
+# Outputs frozen from the code before the census BFS was rewritten as one
+# walk over the step grammar.  The benchmark builds its inputs with
+# random_members, so drift in its draws would also change the benchmark.
+FROZEN_CENSUS = {
+    ("i4tf_affine", 5): (
+        18, 17, "72be22e48adf2d7933b7c8cba203e0febac92dc758d0b38005040cf086a1ea05"
+    ),
+    ("i4tf_affine", 6): (
+        34, 33, "49bd371e99d5ee6b40f83081a940023ddab382eab66f9a5670dceff9396f0635"
+    ),
+    ("ai4", 5): (
+        92, 66, "0df900ddb6bbb73209e40b97d2bb8c1c22ee6d434ee7c03dcfa18a8d0cfb7383"
+    ),
+    ("i4tf_nonaffine", 7): (
+        4, 4, "23af953518e3283ba12d4ea6a58d247e2f3670581f6e4f164a42e93898fa7b2a"
+    ),
+}
+
+FROZEN_NORMAL_FORMS = [
+    '{"base": {"kind": "onedim", "points": []}, "steps": ["alpha1", "alpha0", "alpha0", "beta0"], "map": [6, 12, 1, 16, 5]}',
+    '{"base": {"kind": "onedim", "points": []}, "steps": ["alpha0", "beta0", "alpha1", "alpha1"], "map": [10, 16, 4, 1, 2]}',
+    '{"base": {"kind": "onedim", "points": []}, "steps": ["alpha0", "alpha0", "alpha1", "alpha0"], "map": [5, 9, 19, 1, 2]}',
+    '{"base": {"kind": "onedim", "points": []}, "steps": ["alpha0", "alpha1", "alpha1", "alpha0"], "map": [3, 24, 4, 9, 1]}',
+    '{"base": {"kind": "onedim", "points": []}, "steps": ["alpha0", "alpha1", "alpha0", "beta1"], "map": [15, 16, 7, 2, 3]}',
+    '{"base": {"kind": "onedim", "points": []}, "steps": ["alpha0", "alpha0", "beta0", "alpha1"], "map": [2, 4, 9, 26, 1]}',
+    '{"base": {"kind": "onedim", "points": [1]}, "steps": ["alpha1", "alpha0", "alpha1", "alpha0"], "map": [8, 21, 2, 4, 1]}',
+    '{"base": {"kind": "onedim", "points": []}, "steps": ["alpha1", "alpha0", "alpha0", "alpha1"], "map": [1, 12, 2, 4, 16]}',
+    '{"base": {"kind": "onedim", "points": []}, "steps": ["alpha1", "alpha1", "alpha1", "alpha1"], "map": [13, 1, 2, 4, 16]}',
+    '{"base": {"kind": "onedim", "points": []}, "steps": ["alpha1", "alpha0", "alpha0", "alpha0"], "map": [31, 6, 1, 2, 8]}',
+    '{"base": {"kind": "onedim", "points": [1]}, "steps": ["alpha1", "alpha0", "alpha0", "beta1"], "map": [13, 23, 3, 5, 7]}',
+    '{"base": {"kind": "onedim", "points": []}, "steps": ["alpha0", "beta0", "alpha1", "alpha1"], "map": [1, 12, 17, 2, 4]}',
+]
+
+FROZEN_RANDOM_BITS = {
+    ("i4tf_nonaffine", 5): [
+        0x22441686, 0xA504662, 0x1823814C, 0x3C01E10,
+        0x9600A512, 0x14A0051A, 0x11884126, 0x8E414180,
+    ],
+    ("i4tf_nonaffine", 6): [
+        0x8E102B404D201780, 0x9696000000FF9600, 0x6340406304363604,
+        0x8142152A8142152A, 0x42242C442442442C, 0x6090090608177180,
+        0x80471D2080471D20, 0x22881144700D0BE0,
+    ],
+    ("i4tf_affine", 5): [
+        0xC3C33C3C, 0x0, 0x80000084, 0x60909020,
+        0x40040000, 0x4182, 0x4A81A41A, 0x2808000,
+    ],
+    ("i4tf_affine", 6): [
+        0xAAAA55455545AAA2, 0x308000080100000, 0xA005A00505A004A0,
+        0x1A0000A01A0100A, 0x8000000000, 0x1008081002400002,
+        0x45A28815A81144A2, 0x303C0C00C042020,
+    ],
+    ("ai4", 5): [
+        0xF3F7BF3E, 0x2800284, 0x7FFFDFFE, 0x83C3C3C0,
+        0x2A000000, 0xFFFFFFFC, 0x5A5A5A5E, 0xFFFFDFDE,
+    ],
+    ("ai4", 6): [
+        0xFF06FFFF90FF00, 0xE700E70E0066006, 0x403030C0C03030C0,
+        0xDBE3DBE77EBC7EBC, 0x3CBC3C3C3C3C3C3C, 0xAAAAA82AAAAAA82A,
+        0x2244999966661988, 0x4060206040606060,
+    ],
+}
+
+
+def test_frozen_outputs():
+    for (tag, dim), (labeled, classes, digest) in FROZEN_CENSUS.items():
+        rep = enumerate_generated(dim, tag)
+        reps = ",".join(str(r.bits) for r in rep.representatives)
+        assert (rep.total_labeled, rep.iso_classes) == (labeled, classes), (tag, dim)
+        assert hashlib.sha256(reps.encode()).hexdigest() == digest, (tag, dim)
+    members = random_members(5, 12, SEED + 5, "ai4")
+    assert [normal_form_certificate(m).to_json() for m in members] == FROZEN_NORMAL_FORMS
+    for (tag, dim), bits in FROZEN_RANDOM_BITS.items():
+        assert [m.bits for m in random_members(dim, 8, 0, tag)] == bits, (tag, dim)
