@@ -1,13 +1,17 @@
 """Isomorphism census of the generated classes, plus brute-force sweeps.
 
-Enumeration never walks raw step sequences: isomorphic intermediates
-produce isomorphic successors, so each level is deduplicated by canonical
-form before expanding.  That keeps the search proportional to the class
-size instead of the sequence count.
+The affine and ai4 classes grow from a one-dimensional base by the step
+grammar in GRAMMAR.  One level-synchronous BFS (walk_grammar) serves the
+census, the ai4 normal forms and the selftest's alpha-only set.  It never
+walks raw step sequences: isomorphic intermediates produce isomorphic
+successors, so each level is deduplicated by canonical form before
+expanding.  That keeps the search proportional to the class size instead
+of the sequence count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -15,8 +19,9 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from multiprocessing import get_context
 
-from .construct import STEP_OPS, Certificate, beta0, sag
+from .construct import STEP_OPS, Certificate, sag
 from .decompose import AffineChain, NotMember, decompose_i4tf
 from .detect import i4tf_witness
 from .errors import TheoremViolation
@@ -27,9 +32,17 @@ CLASS_TAGS = ("i4tf_nonaffine", "i4tf_affine", "ai4")
 DIM_BOUND = 8
 
 _BASES = (Matroid(1, 0), Matroid(1, 2))
-_A_STEPS = ("alpha0", "alpha1", "beta1")
-_B_STEPS = ("alpha0", "alpha1")
-_AFFINE_STEPS = ("expand0", "expand1")
+
+# The step grammar: class tag -> state -> ordered (step name, next state)
+# pairs.  Each class starts in its first state.  An ai4 certificate takes
+# at most one beta0, after which only alpha steps follow.
+GRAMMAR = {
+    "i4tf_affine": {"S": (("expand0", "S"), ("expand1", "S"))},
+    "ai4": {
+        "A": (("alpha0", "A"), ("alpha1", "A"), ("beta1", "A"), ("beta0", "B")),
+        "B": (("alpha0", "B"), ("alpha1", "B")),
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -87,87 +100,54 @@ def _canon_bits(m: Matroid) -> int:
     return canonical_form(m)[0].bits
 
 
-def _step(name: str, m: Matroid) -> Matroid:
-    return STEP_OPS[name](m)
+def walk_grammar(
+    tag: str, dim: int, state: str | None = None, threads: int = 1
+) -> tuple[dict[tuple[str, int], tuple[int, tuple[str, ...]]], set[int]]:
+    """Level-synchronous BFS over GRAMMAR[tag] from the bases up to dim.
 
+    The walk starts in `state` (default: the class's first state).  Each
+    level is expanded from canonical representatives and keeps, for every
+    (state, canonical bits) key, the first (base bits, step names) path in
+    discovery order.  Successors are canonicalised with one map per level,
+    spread over `threads` processes when threads > 1, so the outcome does
+    not depend on scheduling.
 
-def _affine_shard(dim: int, base_bits: int, first: str) -> tuple[set[int], set[int]]:
-    """Expansion-chain BFS seeded with one base and one first step.
-
-    Returns (canonical bits, exact generated bits) at the target dimension.
+    Returns that frontier at dim and the exact bits of the last level's
+    images (the bases themselves at dim 1).
     """
-    img = _step(first, Matroid(1, base_bits))
-    if dim == 2:
-        return {_canon_bits(img)}, {img.bits}
-    cur = {_canon_bits(img)}
-    for level in range(2, dim - 1):
-        nxt = set()
-        for bits in cur:
-            for name in _AFFINE_STEPS:
-                nxt.add(_canon_bits(_step(name, Matroid(level, bits))))
-        cur = nxt
-    raw: set[int] = set()
-    for bits in cur:
-        for name in _AFFINE_STEPS:
-            raw.add(_step(name, Matroid(dim - 1, bits)).bits)
-    canon = {_canon_bits(Matroid(dim, b)) for b in raw}
-    return canon, raw
-
-
-def _ai4_shard(
-    dim: int, base_bits: int, first: str
-) -> tuple[set[int], set[int], set[int]]:
-    """Two-state BFS: before the one allowed beta0 step, and after it.
-
-    Returns (state-A canonical bits, state-B canonical bits, exact bits)
-    at the target dimension.
-    """
-    base = Matroid(1, base_bits)
-    a_cur: set[int] = set()
-    b_cur: set[int] = set()
-    if first == "beta0":
-        b_cur = {_canon_bits(beta0(base))}
-    else:
-        a_cur = {_canon_bits(_step(first, base))}
-    raw = {_step(first, base).bits}
-    level = 2
-    while level < dim:
-        a_nxt: set[int] = set()
-        b_nxt: set[int] = set()
-        raw = set()
-        for bits in a_cur:
-            m = Matroid(level, bits)
-            for name in _A_STEPS:
-                img = _step(name, m)
-                a_nxt.add(_canon_bits(img))
-                raw.add(img.bits)
-            img = beta0(m)
-            b_nxt.add(_canon_bits(img))
-            raw.add(img.bits)
-        for bits in b_cur:
-            m = Matroid(level, bits)
-            for name in _B_STEPS:
-                img = _step(name, m)
-                b_nxt.add(_canon_bits(img))
-                raw.add(img.bits)
-        a_cur, b_cur = a_nxt, b_nxt
-        level += 1
-    return a_cur, b_cur, raw
-
-
-def _run_shards(tasks, worker, threads: int):
-    if threads <= 1:
-        return [worker(*t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        futs = [pool.submit(worker, *t) for t in tasks]
-        return [f.result() for f in futs]
+    grammar = GRAMMAR[tag]
+    start = state or next(iter(grammar))
+    # Both bases are their own canonical forms.
+    frontier = {(start, b.bits): (b.bits, ()) for b in _BASES}
+    raw = {b.bits for b in _BASES}
+    pool = (
+        ProcessPoolExecutor(threads, mp_context=get_context("spawn"))
+        if threads > 1
+        else contextlib.nullcontext()
+    )
+    with pool as executor:
+        canon_map = executor.map if executor else map
+        for level in range(1, dim):
+            succ = [
+                (nxt, (base_bits, steps + (name,)), STEP_OPS[name](Matroid(level, bits)))
+                for (cur, bits), (base_bits, steps) in frontier.items()
+                for name, nxt in grammar[cur]
+            ]
+            images = list({img.bits: img for _, _, img in succ}.values())
+            canon = dict(zip((m.bits for m in images), canon_map(_canon_bits, images)))
+            frontier = {}
+            for nxt, path, img in succ:
+                frontier.setdefault((nxt, canon[img.bits]), path)
+            raw = set(canon)
+    return frontier, raw
 
 
 def enumerate_generated(dim: int, tag: str, threads: int = 1) -> CensusReport:
     """Census of one class at one dimension, deduplicated by canonical form.
 
-    Shards by (base, first step) when threads > 1; shard results merge by
-    set union, so the outcome does not depend on scheduling.
+    The grammar classes come from one walk_grammar call; `threads` spreads
+    its canonical-form calls over processes.  The nonaffine class is the
+    doubling towers over sag(m).
     """
     if tag not in CLASS_TAGS:
         raise ValueError(f"unknown class tag {tag!r}")
@@ -184,27 +164,9 @@ def enumerate_generated(dim: int, tag: str, threads: int = 1) -> CensusReport:
             m = cert.replay()
             raws.add(m.bits)
             canon.add(_canon_bits(m))
-        reps = tuple(Matroid(dim, b) for b in sorted(canon))
-        return CensusReport(
-            dim, tag, len(raws), len(reps), reps, time.monotonic() - start
-        )
-
-    if dim == 1:
-        reps = tuple(sorted(_BASES, key=lambda m: m.bits))
-        return CensusReport(
-            dim, tag, len(reps), len(reps), reps, time.monotonic() - start
-        )
-
-    if tag == "i4tf_affine":
-        tasks = [(dim, b.bits, s) for b in _BASES for s in _AFFINE_STEPS]
-        parts = _run_shards(tasks, _affine_shard, threads)
-        canon = set().union(*(p[0] for p in parts))
-        raws = set().union(*(p[1] for p in parts))
     else:
-        tasks = [(dim, b.bits, s) for b in _BASES for s in _A_STEPS + ("beta0",)]
-        parts = _run_shards(tasks, _ai4_shard, threads)
-        canon = set().union(*(p[0] | p[1] for p in parts))
-        raws = set().union(*(p[2] for p in parts))
+        frontier, raws = walk_grammar(tag, dim, threads=threads)
+        canon = {bits for _, bits in frontier}
 
     reps = tuple(Matroid(dim, b) for b in sorted(canon))
     return CensusReport(dim, tag, len(raws), len(reps), reps, time.monotonic() - start)
@@ -297,9 +259,9 @@ def exhaustive_crosscheck(dim: int) -> CrosscheckReport:
 def random_members(dim: int, count: int, seed: int, tag: str) -> list[Matroid]:
     """Deterministic random class members via random certificate replay.
 
-    Step sequences draw uniformly at each level (ai4 switches to the
-    alpha-only state once beta0 is drawn); the final relabeling map is
-    uniform over invertible maps.
+    Step sequences walk GRAMMAR, drawing uniformly among the current
+    state's steps at each level; the final relabeling map is uniform over
+    invertible maps.
     """
     if tag not in CLASS_TAGS:
         raise ValueError(f"unknown class tag {tag!r}")
@@ -312,23 +274,14 @@ def random_members(dim: int, count: int, seed: int, tag: str) -> list[Matroid]:
             mpar = rng.randrange(3, dim)
             steps: tuple[str, ...] = ("double",) * (dim - 1 - mpar)
             base = sag(mpar)
-        elif tag == "i4tf_affine":
-            base = _BASES[rng.randrange(2)]
-            steps = tuple(
-                rng.choice(_AFFINE_STEPS) for _ in range(dim - 1)
-            )
         else:
             base = _BASES[rng.randrange(2)]
+            grammar = GRAMMAR[tag]
+            state = next(iter(grammar))
             names = []
-            in_b = False
             for _ in range(dim - 1):
-                if in_b:
-                    names.append(rng.choice(_B_STEPS))
-                else:
-                    pick = rng.choice(_A_STEPS + ("beta0",))
-                    if pick == "beta0":
-                        in_b = True
-                    names.append(pick)
+                name, state = rng.choice(grammar[state])
+                names.append(name)
             steps = tuple(names)
         cmap = random_invertible_map(dim, rng)
         out.append(Certificate(base, steps, cmap).replay())
@@ -337,35 +290,10 @@ def random_members(dim: int, count: int, seed: int, tag: str) -> list[Matroid]:
 
 @functools.lru_cache(maxsize=8)
 def _normal_form_table(dim: int) -> dict[int, tuple[int, tuple[str, ...]]]:
-    """canonical bits -> (base bits, step names) for every class member."""
+    """canonical bits -> (base bits, step names) for every ai4 member."""
     table: dict[int, tuple[int, tuple[str, ...]]] = {}
-    frontier: list[tuple[Matroid, int, tuple[str, ...], bool]] = []
-    for b in _BASES:
-        frontier.append((b, b.bits, (), False))
-    for m, base_bits, steps, in_b in frontier:
-        cb = _canon_bits(m)
-        if m.n == dim and cb not in table:
-            table[cb] = (base_bits, steps)
-    level = 1
-    while level < dim:
-        nxt = []
-        seen_a: set[int] = set()
-        seen_b: set[int] = set()
-        for m, base_bits, steps, in_b in frontier:
-            options = _B_STEPS if in_b else _A_STEPS + ("beta0",)
-            for name in options:
-                img = _step(name, m)
-                cb = _canon_bits(img)
-                goes_b = in_b or name == "beta0"
-                seen = seen_b if goes_b else seen_a
-                if cb in seen:
-                    continue
-                seen.add(cb)
-                nxt.append((img, base_bits, steps + (name,), goes_b))
-                if img.n == dim and cb not in table:
-                    table[cb] = (base_bits, steps + (name,))
-        frontier = nxt
-        level += 1
+    for (_, bits), path in walk_grammar("ai4", dim)[0].items():
+        table.setdefault(bits, path)
     return table
 
 

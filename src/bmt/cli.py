@@ -192,7 +192,7 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    rep = run_selftest(args.level, threads=args.threads)
+    rep = run_selftest(args.level)
     if args.json:
         print(rep.to_json())
     else:
@@ -244,7 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the verification suites")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.add_argument("--threads", type=int, default=default_threads)
     p.set_defaults(func=_cmd_selftest)
 
     return top

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -41,14 +41,15 @@ def points_mask(points: Iterable[int]) -> int:
     return mask
 
 
-def rref(vectors: Iterable[int]) -> tuple[int, ...]:
-    """Reduced basis of the span, as an ascending tuple.
+def _eliminate(rows: Iterable[int]) -> dict[int, int]:
+    """Gauss-Jordan elimination of int rows: leading bit -> reduced row.
 
-    Every basis vector has a distinct leading bit and that bit is clear in
-    all the others, so equal subspaces always reduce to the same tuple.
+    Every row has a distinct leading bit and that bit is clear in all the
+    others.  Callers that carry an augmented part put it in the low bits,
+    below the coefficients.
     """
     pivots: dict[int, int] = {}
-    for v in vectors:
+    for v in rows:
         while v:
             lead = v.bit_length() - 1
             if lead in pivots:
@@ -61,16 +62,20 @@ def rref(vectors: Iterable[int]) -> tuple[int, ...]:
         for other in list(pivots):
             if other != lead and (pivots[other] >> lead) & 1:
                 pivots[other] ^= v
-    return tuple(sorted(pivots.values()))
+    return pivots
+
+
+def rref(vectors: Iterable[int]) -> tuple[int, ...]:
+    """Reduced basis of the span, as an ascending tuple.
+
+    Every basis vector has a distinct leading bit and that bit is clear in
+    all the others, so equal subspaces always reduce to the same tuple.
+    """
+    return tuple(sorted(_eliminate(vectors).values()))
 
 
 def rank(vectors: Iterable[int]) -> int:
     return len(rref(vectors))
-
-
-def is_independent(vectors: Iterable[int]) -> bool:
-    vecs = list(vectors)
-    return rank(vecs) == len(vecs)
 
 
 def span_members(basis: Iterable[int]) -> int:
@@ -135,12 +140,6 @@ def functional_kernel(w: int, n: int) -> Flat:
     return Flat(n - 1, basis, span_members(basis))
 
 
-def hyperplanes(n: int) -> Iterator[tuple[int, Flat]]:
-    """All hyperplanes of PG(n-1, 2), by ascending defining functional."""
-    for w in range(1, 1 << n):
-        yield w, functional_kernel(w, n)
-
-
 def hyperplane_functional(members: int, n: int) -> int:
     """Functional w whose kernel is the given dim n-1 flat bitmask.
 
@@ -161,27 +160,11 @@ def linear_system_solve(
     Returns (least solution or None, reduced kernel basis).  The kernel
     basis is returned even when the system is inconsistent.
     """
-    pivots: dict[int, tuple[int, int]] = {}
-    inconsistent = False
-    for row, b in zip(rows, rhs):
-        v, t = row, b & 1
-        while v:
-            lead = v.bit_length() - 1
-            if lead in pivots:
-                pv, pt = pivots[lead]
-                v ^= pv
-                t ^= pt
-            else:
-                pivots[lead] = (v, t)
-                break
-        if v == 0 and t == 1:
-            inconsistent = True
-    for lead in sorted(pivots):
-        v, t = pivots[lead]
-        for other in list(pivots):
-            if other != lead and (pivots[other][0] >> lead) & 1:
-                ov, ot = pivots[other]
-                pivots[other] = (ov ^ v, ot ^ t)
+    # Each row carries its right-hand side in bit 0, so a pivot there is
+    # a row reduced to 0 = 1.
+    reduced = _eliminate((row << 1) | (b & 1) for row, b in zip(rows, rhs))
+    inconsistent = 0 in reduced
+    pivots = {lead - 1: (v >> 1, v & 1) for lead, v in reduced.items() if lead}
     # Kernel: one free vector per non-pivot bit.
     kernel = []
     for i in range(n):
@@ -249,27 +232,13 @@ def invert(m: LinearMap) -> LinearMap:
     if m.n_from != m.n_to:
         raise ValueError("only square maps can be inverted")
     n = m.n_from
-    pivots: dict[int, tuple[int, int]] = {}
-    for i in range(n):
-        v, t = m.images[i], 1 << i
-        while v:
-            lead = v.bit_length() - 1
-            if lead in pivots:
-                pv, pt = pivots[lead]
-                v ^= pv
-                t ^= pt
-            else:
-                pivots[lead] = (v, t)
-                break
-        if v == 0:
-            raise ValueError("map is singular")
-    for lead in sorted(pivots):
-        v, t = pivots[lead]
-        for other in list(pivots):
-            if other != lead and (pivots[other][0] >> lead) & 1:
-                ov, ot = pivots[other]
-                pivots[other] = (ov ^ v, ot ^ t)
-    return LinearMap(n, n, tuple(pivots[i][1] for i in range(n)))
+    # Row i is (images[i] | e_i); reducing the images to the unit vectors
+    # turns the low n bits into the inverse's images.
+    reduced = _eliminate((im << n) | (1 << i) for i, im in enumerate(m.images))
+    if any(lead < n for lead in reduced):
+        raise ValueError("map is singular")
+    low = (1 << n) - 1
+    return LinearMap(n, n, tuple(reduced[n + i] & low for i in range(n)))
 
 
 def random_invertible_map(n: int, rng: random.Random | int) -> LinearMap:

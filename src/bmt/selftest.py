@@ -16,9 +16,9 @@ from .census import (
     enumerate_generated,
     exhaustive_crosscheck,
     random_members,
+    walk_grammar,
 )
 from .construct import (
-    STEP_OPS,
     Certificate,
     alpha0,
     alpha1,
@@ -38,6 +38,7 @@ from .detect import (
     i4tf_witness,
     recognize_sag,
 )
+from .errors import TheoremViolation
 from .gf2 import closure, random_invertible_map
 from .matroid import (
     Matroid,
@@ -77,13 +78,13 @@ def _random_affine(rng: random.Random, n: int) -> Matroid:
     return Matroid(n, bits)
 
 
-def check_census_counts(level: str = "quick", threads: int = 1) -> CheckResult:
+def check_census_counts(level: str = "quick") -> CheckResult:
     """Nonaffine class census must report dim - 3 classes at each dim."""
     start = time.monotonic()
     top = 8 if level == _FULL else 6
     got = []
     for dim in range(4, top + 1):
-        rep = enumerate_generated(dim, "i4tf_nonaffine", threads=threads)
+        rep = enumerate_generated(dim, "i4tf_nonaffine")
         got.append(rep.iso_classes)
     want = [d - 3 for d in range(4, top + 1)]
     return CheckResult(
@@ -94,7 +95,7 @@ def check_census_counts(level: str = "quick", threads: int = 1) -> CheckResult:
     )
 
 
-def check_exhaustive_equivalence(level: str = "quick", threads: int = 1) -> CheckResult:
+def check_exhaustive_equivalence(level: str = "quick") -> CheckResult:
     """Decomposer success must match detector membership on every subset."""
     start = time.monotonic()
     dim = 4 if level == _FULL else 3
@@ -108,7 +109,7 @@ def check_exhaustive_equivalence(level: str = "quick", threads: int = 1) -> Chec
     )
 
 
-def check_chi_bound(level: str = "quick", threads: int = 1) -> CheckResult:
+def check_chi_bound(level: str = "quick") -> CheckResult:
     """Every member has critical number at most 2."""
     start = time.monotonic()
     top = 4 if level == _FULL else 3
@@ -142,7 +143,7 @@ def check_chi_bound(level: str = "quick", threads: int = 1) -> CheckResult:
     )
 
 
-def check_affine_characterization(level: str = "quick", threads: int = 1) -> CheckResult:
+def check_affine_characterization(level: str = "quick") -> CheckResult:
     """Affineness must coincide with having no induced odd circuit."""
     start = time.monotonic()
     top = 4 if level == _FULL else 3
@@ -165,7 +166,7 @@ def check_affine_characterization(level: str = "quick", threads: int = 1) -> Che
     )
 
 
-def check_special_hyperplane(level: str = "quick", threads: int = 1) -> CheckResult:
+def check_special_hyperplane(level: str = "quick") -> CheckResult:
     """The hyperplane comparison must succeed on every AI4-free matroid."""
     start = time.monotonic()
     top = 4 if level == _FULL else 3
@@ -203,7 +204,7 @@ def _stabilizer_clauses(m: Matroid) -> bool:
     return True
 
 
-def check_stabilizer_clauses(level: str = "quick", threads: int = 1) -> CheckResult:
+def check_stabilizer_clauses(level: str = "quick") -> CheckResult:
     """Stabilizer flat must satisfy the cross-sum and self-sum clauses."""
     start = time.monotonic()
     count = 1000 if level == _FULL else 200
@@ -239,7 +240,7 @@ def _is_free(m: Matroid, s: int) -> bool:
     return s > m.n or find_induced_is(m, s) is None
 
 
-def check_preservation(level: str = "quick", threads: int = 1) -> CheckResult:
+def check_preservation(level: str = "quick") -> CheckResult:
     """Doubling and 1-expansion must preserve their stated properties."""
     start = time.monotonic()
     count = 200 if level == _FULL else 50
@@ -279,18 +280,10 @@ def check_preservation(level: str = "quick", threads: int = 1) -> CheckResult:
 
 @functools.lru_cache(maxsize=8)
 def _alpha_only_canon(dim: int) -> frozenset[int]:
-    cur = {0, 2}
-    for level in range(1, dim):
-        nxt = set()
-        for bits in cur:
-            m = Matroid(level, bits)
-            for name in ("alpha0", "alpha1"):
-                nxt.add(canonical_form(STEP_OPS[name](m))[0].bits)
-        cur = nxt
-    return frozenset(cur)
+    return frozenset(bits for _, bits in walk_grammar("ai4", dim, "B")[0])
 
 
-def check_alpha_beta_ledger(level: str = "quick", threads: int = 1) -> CheckResult:
+def check_alpha_beta_ledger(level: str = "quick") -> CheckResult:
     """The eight construction clauses, plus exhaustive small round-trips."""
     start = time.monotonic()
     count = 200 if level == _FULL else 50
@@ -384,7 +377,7 @@ def _pick_base(rng: random.Random) -> Matroid:
     return Matroid(1, 0) if rng.random() < 0.5 else Matroid(1, 2)
 
 
-def check_sag_properties(level: str = "quick", threads: int = 1) -> CheckResult:
+def check_sag_properties(level: str = "quick") -> CheckResult:
     """Series extended affine geometries: size, freeness, chi, recognition."""
     start = time.monotonic()
     top = 8 if level == _FULL else 6
@@ -458,9 +451,20 @@ class SelftestReport:
         )
 
 
-def run_selftest(level: str = "quick", threads: int = 1) -> SelftestReport:
+def _run_check(check, level: str) -> CheckResult:
+    """One check's result; a TheoremViolation becomes a FAIL row."""
+    start = time.monotonic()
+    try:
+        return check(level)
+    except TheoremViolation as exc:
+        name = check.__name__.removeprefix("check_")
+        detail = f"theorem violation: {exc}"
+        return CheckResult(name, False, detail, time.monotonic() - start)
+
+
+def run_selftest(level: str = "quick") -> SelftestReport:
     if level not in ("quick", _FULL):
         raise ValueError("level must be quick or full")
     start = time.monotonic()
-    results = tuple(check(level, threads) for check in CRITERIA)
+    results = tuple(_run_check(check, level) for check in CRITERIA)
     return SelftestReport(results, time.monotonic() - start)

@@ -49,6 +49,12 @@ def parity(x: int) -> int:
     return bin(x).count("1") & 1
 
 
+def hyperplanes(n: int):
+    """(w, kernel point mask) for every functional w != 0, ascending."""
+    for w in range(1, 1 << n):
+        yield w, sum(1 << p for p in range(1, 1 << n) if parity(w & p) == 0)
+
+
 def map_point(images, p: int) -> int:
     out = 0
     i = 0

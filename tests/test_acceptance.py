@@ -25,7 +25,7 @@ LEVEL = "full"
 
 @lru_cache(maxsize=None)
 def _run(check):
-    return check(LEVEL, 1)
+    return check(LEVEL)
 
 
 def _report(idx, res, budget=None):

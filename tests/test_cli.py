@@ -6,7 +6,9 @@ import os.path
 import pytest
 
 from bmt import Matroid, canonical_form, circuit, parse_bmat, pg, sag, serialize_bmat
+from bmt import selftest
 from bmt.cli import _build_parser, main
+from bmt.errors import TheoremViolation
 
 
 @pytest.fixture()
@@ -241,10 +243,28 @@ def test_selftest_quick(capsys):
     assert len(doc["checks"]) == 9
 
 
+def test_selftest_reports_theorem_violation_as_fail(monkeypatch, capsys):
+    def check_special_hyperplane(level):
+        raise TheoremViolation("no comparable hyperplane")
+
+    criteria = list(selftest.CRITERIA)
+    criteria[4] = check_special_hyperplane
+    monkeypatch.setattr(selftest, "CRITERIA", tuple(criteria))
+    assert main(["selftest", "--level", "quick"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 10
+    fails = [line for line in lines[:9] if line.startswith("FAIL")]
+    assert len(fails) == 1
+    assert "special_hyperplane" in fails[0]
+    assert "theorem violation: no comparable hyperplane" in fails[0]
+    assert sum(line.startswith("pass") for line in lines[:9]) == 8
+    assert "CHECKS FAILED" in lines[9]
+
+
 def test_threads_default_from_environment(monkeypatch):
     monkeypatch.setenv("BMT_THREADS", "3")
     args = _build_parser().parse_args(["enumerate", "--dim", "4", "--class", "ai4"])
     assert args.threads == 3
     monkeypatch.delenv("BMT_THREADS")
-    args = _build_parser().parse_args(["selftest"])
+    args = _build_parser().parse_args(["enumerate", "--dim", "4", "--class", "ai4"])
     assert args.threads == 1
