@@ -10,8 +10,10 @@ from bmt import (
     CensusReport,
     Matroid,
     affine_witness,
+    apply_map,
     canonical_form,
     decompose_i4tf,
+    double,
     enumerate_generated,
     exhaustive_crosscheck,
     find_ai4_violation,
@@ -22,6 +24,7 @@ from bmt import (
     random_members,
     sag,
 )
+from bmt.gf2 import random_invertible_map
 
 SEED = 6007
 
@@ -263,6 +266,27 @@ FROZEN_RANDOM_BITS = {
 }
 
 
+# sha256 of "form:map images" over _canon_inputs(), joined by ";".  The
+# dim-7 draws leave out i4tf_affine, whose labelings here take seconds
+# each; the dim-8 tower stands for the deep searches.
+FROZEN_CANON_DIGEST = "d15a0fcadf3874e15298b633e4bea4674ae365c34bbbf3d687e90e50eb227300"
+
+
+def _canon_inputs():
+    out = []
+    every = ("i4tf_affine", "ai4", "i4tf_nonaffine")
+    for dim, count, tags in (
+        (4, 6, every),
+        (5, 6, every),
+        (6, 4, every),
+        (7, 3, ("ai4", "i4tf_nonaffine")),
+    ):
+        for tag in tags:
+            out += random_members(dim, count, SEED + 7, tag)
+    out.append(apply_map(random_invertible_map(8, SEED + 7), double(sag(6))))
+    return out
+
+
 def test_frozen_outputs():
     for (tag, dim), (labeled, classes, digest) in FROZEN_CENSUS.items():
         rep = enumerate_generated(dim, tag)
@@ -273,3 +297,9 @@ def test_frozen_outputs():
     assert [normal_form_certificate(m).to_json() for m in members] == FROZEN_NORMAL_FORMS
     for (tag, dim), bits in FROZEN_RANDOM_BITS.items():
         assert [m.bits for m in random_members(dim, 8, 0, tag)] == bits, (tag, dim)
+    parts = []
+    for m in _canon_inputs():
+        cm, g = canonical_form(m)
+        parts.append(f"{cm.bits:x}:{','.join(map(str, g.images))}")
+    digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
+    assert digest == FROZEN_CANON_DIGEST

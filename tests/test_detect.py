@@ -74,8 +74,11 @@ def test_find_induced_is_matches_brute():
         bits = random_bits(rng, n)
         m = Matroid(n, bits)
         w = find_induced_is(m, s)
-        assert (w is None) == (brute_induced_is(bits, s) is None)
+        want = brute_induced_is(bits, s)
+        assert (w is None) == (want is None)
         if w is not None:
+            # The brute force oracle returns the lex-least witness.
+            assert w.points == want
             assert len(w.points) == s and w.param == s
             assert independent(w.points)
             extra = xor_span(w.points) - {0} - set(w.points)
@@ -97,8 +100,10 @@ def test_find_ai4_violation_matches_brute():
         bits = random_bits(rng, n)
         m = Matroid(n, bits)
         w = find_ai4_violation(m)
-        assert (w is None) == (brute_ai4_violation(bits) is None)
+        want = brute_ai4_violation(bits)
+        assert (w is None) == (want is None)
         if w is not None:
+            assert w.points == want
             a, b, c, d = w.points
             total = a ^ b ^ c ^ d
             assert independent(w.points)
