@@ -109,8 +109,8 @@ def walk_grammar(
     level is expanded from canonical representatives and keeps, for every
     (state, canonical bits) key, the first (base bits, step names) path in
     discovery order.  Successors are canonicalised with one map per level,
-    spread over `threads` processes when threads > 1, so the outcome does
-    not depend on scheduling.
+    so the outcome does not depend on scheduling; when threads > 1 that
+    map is spread over `threads` processes, at most one per CPU.
 
     Returns that frontier at dim and the exact bits of the last level's
     images (the bases themselves at dim 1).
@@ -120,9 +120,10 @@ def walk_grammar(
     # Both bases are their own canonical forms.
     frontier = {(start, b.bits): (b.bits, ()) for b in _BASES}
     raw = {b.bits for b in _BASES}
+    workers = min(threads, os.cpu_count() or 1)
     pool = (
-        ProcessPoolExecutor(threads, mp_context=get_context("spawn"))
-        if threads > 1
+        ProcessPoolExecutor(workers, mp_context=get_context("spawn"))
+        if workers > 1
         else contextlib.nullcontext()
     )
     with pool as executor:
@@ -153,6 +154,8 @@ def enumerate_generated(dim: int, tag: str, threads: int = 1) -> CensusReport:
         raise ValueError(f"unknown class tag {tag!r}")
     if not 1 <= dim <= DIM_BOUND:
         raise ValueError(f"dimension must be between 1 and {DIM_BOUND}")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     start = time.monotonic()
 
     if tag == "i4tf_nonaffine":

@@ -25,7 +25,7 @@ from .detect import (
     find_triangle,
 )
 from .errors import FormatError, TheoremViolation
-from .matroid import Matroid, canonical_form, parse_bmat, serialize_bmat
+from .matroid import MAX_DIM, Matroid, canonical_form, parse_bmat, serialize_bmat
 from .selftest import run_selftest
 
 PROP_NAMES = ("triangle", "i4", "i3", "ai4", "affine", "oddcircuit", "chi")
@@ -172,6 +172,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_random(args) -> int:
+    if not 1 <= args.dim <= MAX_DIM:
+        raise FormatError(f"dimension must be between 1 and {MAX_DIM}")
     members = random_members(args.dim, args.count, args.seed, getattr(args, "class"))
     os.makedirs(args.out, exist_ok=True)
     tag = getattr(args, "class")

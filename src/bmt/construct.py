@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import FormatError
 from .gf2 import LinearMap, functional_kernel
-from .matroid import Matroid, affine_witness, apply_map
+from .matroid import MAX_DIM, Matroid, affine_witness, apply_map
 
 
 def pg(n: int) -> Matroid:
@@ -187,12 +187,12 @@ def certificate_from_json(text: str) -> Certificate:
             raise FormatError("onedim base points must be a sublist of [1]")
         if len(pts) > 1:
             raise FormatError("duplicate base point")
-        base = Matroid(1, 2 if pts else 0)
+        base_dim = 1
     elif kind == "sag":
         mm = bobj.get("n")
         if not isinstance(mm, int) or isinstance(mm, bool) or mm < 3:
             raise FormatError("sag base needs an integer n of at least 3")
-        base = sag(mm)
+        base_dim = mm + 1
     else:
         raise FormatError(f"unknown base kind {kind!r}")
     if not isinstance(steps, list) or not all(isinstance(s, str) for s in steps):
@@ -200,11 +200,14 @@ def certificate_from_json(text: str) -> Certificate:
     for s in steps:
         if s not in STEP_OPS:
             raise FormatError(f"unknown step {s!r}")
+    dim = base_dim + len(steps)
+    if dim > MAX_DIM:
+        raise FormatError(f"certificate dimension {dim} exceeds {MAX_DIM}")
+    base = Matroid(1, 2 if pts else 0) if kind == "onedim" else sag(mm)
     if not isinstance(images, list) or not all(
         isinstance(v, int) and not isinstance(v, bool) for v in images
     ):
         raise FormatError("certificate map must be a list of ints")
-    dim = base.n + len(steps)
     if len(images) != dim:
         raise FormatError("certificate map has the wrong length")
     if not all(0 <= v < (1 << dim) for v in images):

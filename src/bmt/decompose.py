@@ -124,12 +124,8 @@ def decompose_affine_step(m: Matroid) -> AffineStep:
     hw = functional_kernel(phi, n)
     z = (m.bits & -m.bits).bit_length() - 1
     f_bits = xor_translate(m.bits ^ (1 << z), z)
-    coords = flat_coordinates(hw)
-    f_small = 0
-    for p in mask_points(f_bits):
-        f_small |= 1 << coords[p]
-    emb0 = LinearMap(n - 1, n, hw.basis)
-    sh = find_special_hyperplane(Matroid(n - 1, f_small))
+    f_small, emb0 = _translated_restriction(m, hw, f_bits)
+    sh = find_special_hyperplane(f_small)
     case, hprime = sh.case, _flat_ambient(sh.flat, emb0, n)
 
     if case == "e_disjoint_h":
@@ -146,7 +142,7 @@ def decompose_affine_step(m: Matroid) -> AffineStep:
             case = "e_subset_h"
             hprime = closure(mask_points(kmask), n)
         else:
-            rec = recognize_affine_geometry(Matroid(n - 1, f_small))
+            rec = recognize_affine_geometry(f_small)
             if rec is None or rec[0].dim != n - 1:
                 raise TheoremViolation(
                     "disjoint case without an affine geometry"

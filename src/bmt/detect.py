@@ -8,9 +8,8 @@ deterministic for a given input.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import TheoremViolation
 from .gf2 import (
@@ -93,49 +92,65 @@ def find_triangle(m: Matroid) -> Witness | None:
 
 
 # Pattern tables over all independent 4-subsets of the ambient geometry, in
-# lex order: elements required, span points forbidden (induced independent
-# set test), triple sums forbidden (the size 4 freeness test).
+# lex order, as per-point bitsets over that list: "need"[p] holds the quads
+# containing p, "span"[p] the quads whose span holds p outside the quad,
+# "trip"[p] the quads with a triple sum equal to p.  "quads" packs the
+# quads four bytes each.
 _TABLE_DIMS = (4, 5)
-_quad_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, ...]]]] = {}
 
 
-def _quad_tables(n: int):
-    cached = _quad_cache.get(n)
-    if cached is not None:
-        return cached
-    needs: list[int] = []
-    span_avoids: list[int] = []
-    triple_avoids: list[int] = []
-    quads: list[tuple[int, ...]] = []
+@functools.cache
+def _quad_tables(n: int) -> dict:
     top = 1 << n
+    quads = bytearray()
+    sums = bytearray()  # the other eleven span points, triple sums first
     for p1 in range(1, top):
         for p2 in range(p1 + 1, top):
-            s2 = (1 << p1) | (1 << p2) | (1 << (p1 ^ p2))
+            a = p1 ^ p2
+            s2 = (1 << p1) | (1 << p2) | (1 << a)
             for p3 in range(p2 + 1, top):
                 if (s2 >> p3) & 1:
                     continue
-                s3 = s2 | (1 << p3) | xor_translate(s2, p3)
+                b, c, t3 = p1 ^ p3, p2 ^ p3, a ^ p3
+                s3 = s2 | (1 << p3) | (1 << b) | (1 << c) | (1 << t3)
                 for p4 in range(p3 + 1, top):
                     if (s3 >> p4) & 1:
                         continue
-                    s4 = s3 | (1 << p4) | xor_translate(s3, p4)
-                    need = (1 << p1) | (1 << p2) | (1 << p3) | (1 << p4)
-                    total = p1 ^ p2 ^ p3 ^ p4
-                    trip = 0
-                    for p in (p1, p2, p3, p4):
-                        trip |= 1 << (total ^ p)
-                    needs.append(need)
-                    span_avoids.append(s4 ^ need)
-                    triple_avoids.append(trip)
-                    quads.append((p1, p2, p3, p4))
-    table = (
-        np.array(needs, dtype=np.uint64),
-        np.array(span_avoids, dtype=np.uint64),
-        np.array(triple_avoids, dtype=np.uint64),
-        quads,
-    )
-    _quad_cache[n] = table
-    return table
+                    t = t3 ^ p4
+                    quads += bytes((p1, p2, p3, p4))
+                    sums += bytes((
+                        t ^ p1, t ^ p2, t ^ p3, t3,
+                        a, b, c, p1 ^ p4, p2 ^ p4, p3 ^ p4, t,
+                    ))
+
+    def by_point(recs: bytearray, width: int, cols: int) -> list[int]:
+        # Column k of the records holds one point per quad.  Mapping p to
+        # "1" and every other byte to "0" gives the binary digits of the
+        # quads with p there; reversed, quad i lands on bit i.
+        out = [0] * top
+        for p in range(1, top):
+            digits = bytes(49 if x == p else 48 for x in range(256))
+            for k in range(cols):
+                out[p] |= int(recs[k::width].translate(digits)[::-1], 2)
+        return out
+
+    return {
+        "need": by_point(quads, 4, 4),
+        "span": by_point(sums, 11, 11),
+        "trip": by_point(sums, 11, 4),
+        "quads": bytes(quads),
+    }
+
+
+def _first_quad(m: Matroid, avoid: str) -> tuple[int, ...] | None:
+    # Least quad inside E with all its `avoid` points off E: the lowest
+    # clear bit of `bad`, which slices past the last quad when none is.
+    table = _quad_tables(m.n)
+    bad = 0
+    for p in range(1, 1 << m.n):
+        bad |= table[avoid][p] if (m.bits >> p) & 1 else table["need"][p]
+    i = (~bad & (bad + 1)).bit_length() - 1
+    return tuple(table["quads"][4 * i : 4 * i + 4]) or None
 
 
 def find_induced_is(m: Matroid, s: int) -> Witness | None:
@@ -143,13 +158,8 @@ def find_induced_is(m: Matroid, s: int) -> Witness | None:
     if not 2 <= s <= m.n:
         raise ValueError(f"need 2 <= s <= {m.n}, got {s}")
     if s == 4 and m.n in _TABLE_DIMS:
-        needs, span_avoids, _, quads = _quad_tables(m.n)
-        ev = np.uint64(m.bits)
-        hit = ((needs & ev) == needs) & ((span_avoids & ev) == 0)
-        idx = int(np.argmax(hit))
-        if hit[idx]:
-            return Witness("induced_is", quads[idx], 4)
-        return None
+        quad = _first_quad(m, "span")
+        return Witness("induced_is", quad, 4) if quad else None
     pts = m.points
     chosen: list[int] = []
 
@@ -179,13 +189,8 @@ def find_ai4_violation(m: Matroid) -> Witness | None:
     if m.n < 4:
         return None
     if m.n in _TABLE_DIMS:
-        needs, _, triple_avoids, quads = _quad_tables(m.n)
-        ev = np.uint64(m.bits)
-        hit = ((needs & ev) == needs) & ((triple_avoids & ev) == 0)
-        idx = int(np.argmax(hit))
-        if hit[idx]:
-            return Witness("ai4_violation", quads[idx])
-        return None
+        quad = _first_quad(m, "trip")
+        return Witness("ai4_violation", quad) if quad else None
     pts = m.points
     chosen: list[int] = []
 

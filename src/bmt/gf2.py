@@ -12,8 +12,6 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 
 def parity(x: int) -> int:
     return x.bit_count() & 1
@@ -265,15 +263,8 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     if bits == 0 or bits == full:
         return bits, identity_map(n)
     size = 1 << n
-    memb = bytearray(size)
-    m = bits
-    while m:
-        low = m & -m
-        m ^= low
-        memb[low.bit_length() - 1] = 1
-    absent = np.frombuffer(bytes(memb), dtype=np.uint8) ^ 1
 
-    best_blocks: list[bytes] | None = None
+    best_blocks: list[int] | None = None
     best_hp: list[int] | None = None
     best_images: list[int] | None = None
     auts: list[list[int]] = []
@@ -283,10 +274,13 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     def dfs(
         images: list[int],
         hp: list[int],
-        hp_arr: np.ndarray,
+        rows: list[int],
         spanmask: int,
-        blocks: list[bytes],
+        blocks: list[int],
     ) -> None:
+        # hp[q] is the image of q under the chosen preimages; rows[v] holds
+        # the absence bits of v ^ hp[q], q = 0 most significant, so rows[u]
+        # is the next block if u is chosen and smaller rows compare first.
         nonlocal best_blocks, best_hp, best_images
         depth = len(images)
         if best_blocks is not None and blocks > best_blocks[:depth]:
@@ -306,15 +300,10 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
                     auts.append(phi)
             return
         us = [u for u in range(1, size) if not (spanmask >> u) & 1]
-        us_arr = np.array(us, dtype=np.int64)
-        rows = np.packbits(absent[us_arr[:, None] ^ hp_arr[None, :]], axis=1)
-        width = rows.shape[1]
-        flat = rows.tobytes()
-        min_bv = min(flat[i * width : (i + 1) * width] for i in range(len(us)))
-        cands = [
-            us[i] for i in range(len(us)) if flat[i * width : (i + 1) * width] == min_bv
-        ]
+        min_bv = min(rows[u] for u in us)
+        cands = [u for u in us if rows[u] == min_bv]
         blocks.append(min_bv)
+        width = len(hp)
         covered = 0
         filtered: list[list[int]] = []
         filtered_at = -1
@@ -329,7 +318,8 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
             for y in block:
                 sm |= 1 << y
             images.append(u)
-            dfs(images, hp + block, np.concatenate([hp_arr, u ^ hp_arr]), sm, blocks)
+            child = [(r << width) | rows[v ^ u] for v, r in enumerate(rows)]
+            dfs(images, hp + block, child, sm, blocks)
             images.pop()
             covered |= 1 << u
             if filtered:
@@ -343,10 +333,10 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
                             frontier.append(y)
         blocks.pop()
 
-    dfs([], [0], np.zeros(1, dtype=np.int64), 0, [])
+    dfs([], [0], [((bits >> v) & 1) ^ 1 for v in range(size)], 0, [])
     assert best_hp is not None and best_images is not None
     canon = 0
-    for q in range(1, 1 << n):
-        if memb[best_hp[q]]:
+    for q in range(1, size):
+        if (bits >> best_hp[q]) & 1:
             canon |= 1 << q
     return canon, invert(LinearMap(n, n, tuple(best_images)))

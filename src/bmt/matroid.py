@@ -25,6 +25,11 @@ from .gf2 import (
 )
 
 
+# Largest dimension any parsed input may ask for: a point set is a
+# 2^n-bit int and several scans run over all 2^n points.
+MAX_DIM = 16
+
+
 @dataclass(frozen=True)
 class Matroid:
     """Point set of a simple binary matroid, bit p set iff p is an element."""
@@ -104,8 +109,8 @@ def parse_bmat(text: str) -> Matroid:
         n = int(head[len("BMAT1 dim="):])
     except ValueError:
         raise FormatError(f"bad dimension in header: {head!r}") from None
-    if n < 1:
-        raise FormatError("dimension must be at least 1")
+    if not 1 <= n <= MAX_DIM:
+        raise FormatError(f"dimension must be between 1 and {MAX_DIM}")
     body = lines[1]
     if body.startswith("points="):
         payload = body[len("points="):]

@@ -2,11 +2,23 @@
 
 import json
 import os.path
+import subprocess
+import sys
 
 import pytest
 
-from bmt import Matroid, canonical_form, circuit, parse_bmat, pg, sag, serialize_bmat
-from bmt import selftest
+import bmt
+from bmt import (
+    Matroid,
+    canonical_form,
+    circuit,
+    parse_bmat,
+    pg,
+    random_members,
+    sag,
+    serialize_bmat,
+)
+from bmt import census, selftest
 from bmt.cli import _build_parser, main
 from bmt.errors import TheoremViolation
 
@@ -268,3 +280,90 @@ def test_threads_default_from_environment(monkeypatch):
     monkeypatch.delenv("BMT_THREADS")
     args = _build_parser().parse_args(["enumerate", "--dim", "4", "--class", "ai4"])
     assert args.threads == 1
+
+
+def test_enumerate_threads_must_be_positive(capsys):
+    for n in ("0", "-1"):
+        assert main(["enumerate", "--dim", "3", "--class", "ai4", "--threads", n]) == 2
+        assert "threads must be at least 1" in capsys.readouterr().err
+
+
+def test_enumerate_threads_capped_at_cpu_count(monkeypatch, capsys):
+    # Stands in for the process pool, so no process is started.
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context=None):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(census, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+    argv = ["--json", "enumerate", "--dim", "4", "--class", "ai4"]
+    assert main(argv + ["--threads", "1"]) == 0
+    one = json.loads(capsys.readouterr().out)
+    assert seen == []
+    assert main(argv + ["--threads", "1000"]) == 0
+    many = json.loads(capsys.readouterr().out)
+    assert seen == [2]
+    del one["elapsed"], many["elapsed"]
+    assert many == one
+    # One CPU: no pool at all.
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 1)
+    assert main(argv + ["--threads", "4"]) == 0
+    assert seen == [2]
+
+
+def test_oversized_dimensions_are_format_errors(tmp_path, capsys):
+    big = tmp_path / "big.bmat"
+    big.write_text("BMAT1 dim=64\npoints=1 2\n")
+    assert main(["check", str(big)]) == 2
+    assert "dimension must be between 1 and 16" in capsys.readouterr().err
+    cert = tmp_path / "cert.json"
+    cert.write_text('{"base": {"kind": "sag", "n": 70}, "steps": [], "map": []}')
+    assert main(["build", str(cert)]) == 2
+    assert "exceeds 16" in capsys.readouterr().err
+    doc = {"base": {"kind": "onedim", "points": []}, "steps": ["alpha0"] * 16, "map": []}
+    cert.write_text(json.dumps(doc))
+    assert main(["build", str(cert)]) == 2
+    assert "exceeds 16" in capsys.readouterr().err
+    argv = ["random", "--dim", "64", "--count", "1", "--seed", "1", "--class", "ai4"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "dimension must be between 1 and 16" in capsys.readouterr().err
+    # The bound itself still parses.
+    edge = tmp_path / "edge.bmat"
+    edge.write_text("BMAT1 dim=16\npoints=1 2 4\n")
+    assert main(["check", "--props", "triangle", str(edge)]) == 0
+
+
+def test_runs_without_numpy(tmp_path):
+    # A dim-5 affine member: the quad tables scan every quad and find none.
+    path = tmp_path / "d5.bmat"
+    path.write_text(serialize_bmat(random_members(5, 1, 1, "i4tf_affine")[0]))
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from bmt.cli import main\n"
+        "check = main(['check', '--props', 'triangle,i4,ai4', sys.argv[1]])\n"
+        "canon = main(['canon', sys.argv[1]])\n"
+        "sys.exit(check or canon)\n"
+    )
+    src = os.path.dirname(os.path.dirname(bmt.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:3] == ["triangle: none", "i4: none", "ai4: none"]
+    assert proc.stdout.splitlines()[3] == "BMAT1 dim=5"
