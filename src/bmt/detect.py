@@ -143,8 +143,9 @@ def _quad_tables(n: int) -> dict:
 
 
 def _first_quad(m: Matroid, avoid: str) -> tuple[int, ...] | None:
-    # Least quad inside E with all its `avoid` points off E: the lowest
-    # clear bit of `bad`, which slices past the last quad when none is.
+    # Least quad inside E with all its `avoid` points off E, at the lowest
+    # clear bit of `bad`.  With no such quad that bit lies past the last
+    # quad and the slice is empty.
     table = _quad_tables(m.n)
     bad = 0
     for p in range(1, 1 << m.n):
