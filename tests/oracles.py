@@ -55,6 +55,16 @@ def hyperplanes(n: int):
         yield w, sum(1 << p for p in range(1, 1 << n) if parity(w & p) == 0)
 
 
+def brute_translate(mask: int, x: int) -> int:
+    """Image of a bit set under p -> p ^ x, one set bit at a time."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= 1 << ((low.bit_length() - 1) ^ x)
+    return out
+
+
 def map_point(images, p: int) -> int:
     out = 0
     i = 0

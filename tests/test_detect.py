@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from bmt import detect
 from bmt import (
     Matroid,
     ag,
@@ -19,6 +20,7 @@ from bmt import (
     i4tf_witness,
     is_affine,
     pg,
+    random_members,
     recognize_affine_geometry,
     recognize_sag,
     sag,
@@ -109,6 +111,55 @@ def test_find_ai4_violation_matches_brute():
             assert independent(w.points)
             _witness_points_in(m, w)
             assert all(not m.contains(total ^ x) for x in w.points)
+
+
+def _points(w):
+    return None if w is None else w.points
+
+
+def _sparse_bits(rng, n):
+    return sum(1 << p for p in rng.sample(range(1, 1 << n), rng.randrange(4, 1 << (n - 1))))
+
+
+def _assert_searches_match_brute(sets, n, sizes):
+    # Both outcomes must occur, so the exhaustive no-witness path is run
+    # as well as the early exit.
+    outcomes = set()
+    for bits in sets:
+        m = Matroid(n, bits)
+        for s in sizes:
+            want = brute_induced_is(bits, s)
+            assert _points(find_induced_is(m, s)) == want
+            outcomes.add(("is", s, want is None))
+        want = brute_ai4_violation(bits)
+        assert _points(find_ai4_violation(m)) == want
+        outcomes.add(("ai4", want is None))
+    for s in sizes:
+        assert {("is", s, True), ("is", s, False)} <= outcomes
+    assert {("ai4", True), ("ai4", False)} <= outcomes
+
+
+def test_dfs_searches_match_brute_without_tables(monkeypatch):
+    # At dims 4-5 the quad tables answer s=4 and AI4; switched off, the
+    # DFS answers them and must give the same lex-least witnesses.
+    monkeypatch.setattr(detect, "_TABLE_DIMS", ())
+    rng = random.Random(SEED + 10)
+    for n in (4, 5):
+        sets = [_sparse_bits(rng, n) for _ in range(40)]
+        sets += [random_bits(rng, n) for _ in range(10)]
+        for tag in ("ai4", "i4tf_affine", "i4tf_nonaffine"):
+            sets += [m.bits for m in random_members(n, 3, SEED, tag)]
+        _assert_searches_match_brute(sets, n, (4,))
+
+
+def test_dfs_searches_match_brute_dim6():
+    rng = random.Random(SEED + 11)
+    sets = [_sparse_bits(rng, 6) for _ in range(30)]
+    sets += [m.bits for m in (sag(5), double(sag(4)), double(double(sag(3))))]
+    sets += [m.bits for m in random_members(6, 2, SEED, "i4tf_affine")]
+    # The oracles take seconds on the larger ai4 draws.
+    sets += [m.bits for m in random_members(6, 8, SEED + 2, "ai4") if m.size <= 32]
+    _assert_searches_match_brute(sets, 6, (3, 4))
 
 
 def test_ai4_trivial_below_dim4():

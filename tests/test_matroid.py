@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bmt import (
     FormatError,
@@ -22,9 +23,11 @@ from bmt import (
     xor_translate,
 )
 from bmt.gf2 import closure, random_invertible_map
+from bmt.matroid import MAX_DIM
 from oracles import (
     brute_affine_w,
     brute_rank,
+    brute_translate,
     points_of,
     random_bits,
     random_gl,
@@ -80,6 +83,25 @@ def test_xor_translate_and_sumset():
         other = random_bits(rng, 4)
         want = {p ^ q for p in _mask_set(bits) for q in _mask_set(other)} - {0}
         assert _mask_set(sumset(bits, other)) == want
+
+
+@st.composite
+def _translate_cases(draw):
+    # Any bit set over the 2^n positions (point 0 included), with the
+    # empty and full sets and x = 0 drawn on purpose.
+    n = draw(st.integers(1, MAX_DIM))
+    full = (1 << (1 << n)) - 1
+    mask = draw(st.sampled_from((0, full)) | st.integers(0, full))
+    x = draw(st.just(0) | st.integers(0, (1 << n) - 1))
+    return mask, x
+
+
+@settings(max_examples=30, deadline=None)
+@given(_translate_cases())
+def test_xor_translate_matches_brute(case):
+    mask, x = case
+    assert xor_translate(mask, x) == brute_translate(mask, x)
+    assert xor_translate(xor_translate(mask, x), x) == mask
 
 
 def test_bmat_round_trip_points_and_bits():
