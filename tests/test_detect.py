@@ -1,5 +1,6 @@
 """Forbidden substructure detectors against brute force oracles."""
 
+import hashlib
 import random
 
 import pytest
@@ -160,6 +161,35 @@ def test_dfs_searches_match_brute_dim6():
     # The oracles take seconds on the larger ai4 draws.
     sets += [m.bits for m in random_members(6, 8, SEED + 2, "ai4") if m.size <= 32]
     _assert_searches_match_brute(sets, 6, (3, 4))
+
+
+# sha256 of the witnesses of _search_inputs(), one "kind:points" per
+# search, joined by ";".  At dims 7-8 the oracles are too slow to run,
+# and the odd-circuit witness is not the oracle's lex-least set anyway.
+FROZEN_SEARCH_DIGEST = "7151bca6a79f3e86563a3bd0d876e4ae8ce50a24ea0b8bde2556795d6759db27"
+
+
+def _search_inputs():
+    rng = random.Random(SEED + 12)
+    out = []
+    for n in (5, 6, 7):
+        out += [Matroid(n, _sparse_bits(rng, n)) for _ in range(8)]
+        for tag in ("ai4", "i4tf_affine", "i4tf_nonaffine"):
+            out += random_members(n, 3, SEED + 12, tag)
+    out.append(apply_map(random_invertible_map(8, rng), double(sag(6))))
+    out += random_members(8, 2, SEED + 12, "ai4")
+    return out
+
+
+def test_search_witnesses_frozen():
+    parts = []
+    for m in _search_inputs():
+        found = [find_induced_is(m, 3), find_induced_is(m, 4), find_ai4_violation(m)]
+        if m.n <= 7:
+            found.append(find_induced_odd_circuit(m))
+        parts += ["-" if w is None else f"{w.kind}:{w.points}" for w in found]
+    digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
+    assert digest == FROZEN_SEARCH_DIGEST
 
 
 def test_ai4_trivial_below_dim4():
