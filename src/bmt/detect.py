@@ -161,26 +161,33 @@ def find_induced_is(m: Matroid, s: int) -> Witness | None:
     if s == 4 and m.n in _TABLE_DIMS:
         quad = _first_quad(m, "span")
         return Witness("induced_is", quad, 4) if quad else None
-    pts = m.points
     chosen: list[int] = []
 
-    def rec(start: int, spanmask: int) -> bool:
-        if len(chosen) == s:
-            return True
-        for i in range(start, len(pts)):
-            x = pts[i]
-            if (spanmask >> x) & 1:
-                continue
-            shifted = xor_translate(spanmask, x)
-            if shifted & m.bits:
+    # allowed: the elements y above the last choice that may join, those
+    # with y ^ t off E for every nonzero t in the span; reach: E + span.
+    # Choosing x adds x + span to the span, so its children keep the y
+    # off x + reach.  Children come in ascending order, so the first
+    # witness found is the least one.
+    def rec(allowed: int, reach: int) -> bool:
+        depth = len(chosen)
+        while allowed.bit_count() >= s - depth:
+            low = allowed & -allowed
+            allowed ^= low
+            x = low.bit_length() - 1
+            shifted = xor_translate(reach, x)
+            rest = allowed & ~shifted
+            if depth == s - 2:
+                if rest:
+                    chosen.extend((x, (rest & -rest).bit_length() - 1))
+                    return True
                 continue
             chosen.append(x)
-            if rec(i + 1, spanmask | (1 << x) | shifted):
+            if rec(rest, reach | shifted):
                 return True
             chosen.pop()
         return False
 
-    if rec(0, 0):
+    if rec(m.bits, m.bits):
         return Witness("induced_is", tuple(chosen), s)
     return None
 
@@ -192,33 +199,34 @@ def find_ai4_violation(m: Matroid) -> Witness | None:
     if m.n in _TABLE_DIMS:
         quad = _first_quad(m, "trip")
         return Witness("ai4_violation", quad) if quad else None
-    pts = m.points
+    e = m.bits
     chosen: list[int] = []
 
-    def rec(start: int, spanmask: int, xorsum: int) -> bool:
+    # Choosing x after p1 (and p2) drops the candidates y that would put
+    # the triple sum p1 ^ x ^ y (and p2 ^ x ^ y) on E, along with the span.
+    def rec(allowed: int, spanmask: int) -> bool:
         depth = len(chosen)
-        for i in range(start, len(pts)):
-            x = pts[i]
-            if (spanmask >> x) & 1:
+        while allowed.bit_count() >= 4 - depth:
+            low = allowed & -allowed
+            allowed ^= low
+            x = low.bit_length() - 1
+            nspan = spanmask | xor_translate(spanmask, x)
+            drop = nspan
+            for p in chosen:
+                drop |= xor_translate(e, p ^ x)
+            rest = allowed & ~drop
+            if depth == 2:
+                if rest:
+                    chosen.extend((x, (rest & -rest).bit_length() - 1))
+                    return True
                 continue
-            # The sum of any completed triple must land off E; the first
-            # three choices already fix one of the four.
-            if depth == 2 and m.contains(xorsum ^ x):
-                continue
-            if depth == 3:
-                total = xorsum ^ x
-                if any(m.contains(total ^ p) for p in chosen):
-                    continue
-                chosen.append(x)
-                return True
             chosen.append(x)
-            nxt = spanmask | (1 << x) | xor_translate(spanmask, x)
-            if rec(i + 1, nxt, xorsum ^ x):
+            if rec(rest, nspan):
                 return True
             chosen.pop()
         return False
 
-    if rec(0, 1, 0):
+    if rec(e, 1):
         return Witness("ai4_violation", tuple(chosen))
     return None
 
@@ -257,35 +265,39 @@ def find_induced_odd_circuit(m: Matroid, kmax: int | None = None) -> Witness | N
 
 
 def _circuit_search(m: Matroid, k: int) -> Witness | None:
-    # Choose k-1 independent elements spanning nothing else of E except the
-    # one point that closes the circuit, found at the last level.
-    pts = m.points
+    # Choose k-2 elements as find_induced_is does, then a last one x whose
+    # new span points x + span* hold exactly one element, x ^ xorsum,
+    # which closes the circuit.
+    e = m.bits
     chosen: list[int] = []
-    last = k - 2
 
-    def rec(start: int, spanmask: int, xorsum: int) -> int | None:
-        final = len(chosen) == last
-        for i in range(start, len(pts)):
-            x = pts[i]
-            if (spanmask >> x) & 1:
-                continue
-            shifted = xor_translate(spanmask, x)
-            hits = shifted & m.bits
-            if final:
-                if hits == 1 << (xorsum ^ x):
+    def rec(allowed: int, reach: int, spanmask: int, xorsum: int) -> int | None:
+        depth = len(chosen)
+        if depth == k - 2:
+            top = chosen[-1] + 1
+            cands = (e >> top << top) & xor_translate(e, xorsum)
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                x = low.bit_length() - 1
+                if xor_translate(spanmask, x) & e == 1 << (xorsum ^ x):
                     chosen.append(x)
                     return xorsum ^ x
-            else:
-                if hits:
-                    continue
-                chosen.append(x)
-                got = rec(i + 1, spanmask | (1 << x) | shifted, xorsum ^ x)
-                if got is not None:
-                    return got
-                chosen.pop()
+            return None
+        while allowed.bit_count() >= k - 2 - depth:
+            low = allowed & -allowed
+            allowed ^= low
+            x = low.bit_length() - 1
+            shifted = xor_translate(reach, x)
+            nspan = spanmask | low | xor_translate(spanmask, x)
+            chosen.append(x)
+            got = rec(allowed & ~shifted, reach | shifted, nspan, xorsum ^ x)
+            if got is not None:
+                return got
+            chosen.pop()
         return None
 
-    closing = rec(0, 0, 0)
+    closing = rec(e, e, 0, 0)
     if closing is None:
         return None
     return Witness("odd_circuit", tuple(sorted(chosen + [closing])), k)
@@ -390,10 +402,12 @@ def recognize_sag(m: Matroid) -> tuple[int, LinearMap] | None:
             y = a ^ b
             if m.contains(y):
                 continue
-            fmask = 0
-            for e in pts:
-                if e != a and e != b:
-                    fmask |= 1 << (y ^ e)
+            fmask = xor_translate(m.bits ^ (1 << a) ^ (1 << b), y)
+            # A flat is fixed by translation by any of its points; most
+            # pairs fail this before the elimination below.
+            least = (fmask & -fmask).bit_length() - 1
+            if xor_translate(fmask | 1, least) != fmask | 1:
+                continue
             fbasis = rref(mask_points(fmask))
             if len(fbasis) != n - 2 or span_members(fbasis) != fmask:
                 continue
