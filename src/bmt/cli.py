@@ -1,8 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 success or member, 1 non-member or failed property, 2 usage
-or format error, 3 internal falsification signal.  Machine-readable output
-goes to stdout, diagnostics to stderr.
+or format error, 3 internal falsification signal (a theorem violation or a
+witness that fails to verify), 4 internal error (any other exception, with
+its type and message on stderr).  Machine-readable output goes to stdout,
+diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from .selftest import run_selftest
 
 PROP_NAMES = ("triangle", "i4", "i3", "ai4", "affine", "oddcircuit", "chi")
 DEFAULT_PROPS = "triangle,i4"
+# Most files one `random` call may write.
+MAX_COUNT = 10_000
 
 
 def _read_matroid(path: str) -> Matroid:
@@ -61,6 +65,8 @@ def _check_prop(m: Matroid, name: str) -> tuple[bool, str, dict]:
         if aw is not None:
             return True, f"affine: yes (functional {aw})", {"pass": True, "functional": aw}
         w = find_induced_odd_circuit(m)
+        if w is not None:
+            w = w.checked(m)
         pts = " ".join(str(p) for p in w.points) if w else ""
         return False, f"affine: no (odd circuit {pts})", {
             "pass": False,
@@ -73,6 +79,7 @@ def _check_prop(m: Matroid, name: str) -> tuple[bool, str, dict]:
         raise FormatError(f"unknown property {name!r}")
     if w is None:
         return True, f"{name}: none", {"pass": True, "witness": None}
+    w = w.checked(m)
     pts = " ".join(str(p) for p in w.points)
     return False, f"{name}: {pts}", {"pass": False, "witness": _witness_dict(w)}
 
@@ -174,6 +181,8 @@ def _cmd_enumerate(args) -> int:
 def _cmd_random(args) -> int:
     if not 1 <= args.dim <= MAX_DIM:
         raise FormatError(f"dimension must be between 1 and {MAX_DIM}")
+    if not 1 <= args.count <= MAX_COUNT:
+        raise FormatError(f"count must be between 1 and {MAX_COUNT}")
     members = random_members(args.dim, args.count, args.seed, getattr(args, "class"))
     os.makedirs(args.out, exist_ok=True)
     tag = getattr(args, "class")
@@ -203,7 +212,11 @@ def _cmd_selftest(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    default_threads = int(os.environ.get("BMT_THREADS", "1"))
+    raw_threads = os.environ.get("BMT_THREADS", "1")
+    try:
+        default_threads = int(raw_threads)
+    except ValueError:
+        raise FormatError(f"BMT_THREADS must be an integer, got {raw_threads!r}") from None
     top = argparse.ArgumentParser(
         prog="bmt", description="binary matroid structure toolkit"
     )
@@ -252,19 +265,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except TheoremViolation as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return 3
-    except (FormatError, ValueError) as exc:
+    except (FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

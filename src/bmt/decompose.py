@@ -304,12 +304,12 @@ def decompose_i4tf(m: Matroid) -> DecompositionResult:
     geometry.  The chain certificate replays to the input itself; the
     doubling certificate replays to the restriction onto the span of E,
     reported alongside.  Non-members yield a triangle or an induced
-    independent 4-set.
+    independent 4-set, verified against m before it is returned.
     """
     rest = restrict_to_closure(m)
     w = i4tf_witness(m)
     if w is not None:
-        return DecompositionResult(NotMember(w), rest)
+        return DecompositionResult(NotMember(w.checked(m)), rest)
     core = rest.matroid
     if is_affine(core):
         base, steps, images, _ = _affine_chain(core)
@@ -360,10 +360,14 @@ def _translated_restriction(
 
 
 def decompose_ai4(m: Matroid) -> Certificate | Witness:
-    """Certificate over the four layer operations, or a violating 4-set."""
+    """Certificate over the four layer operations, or a violating 4-set.
+
+    The certificate is replayed and the 4-set verified before either is
+    returned.
+    """
     w = find_ai4_violation(m)
     if w is not None:
-        return w
+        return w.checked(m)
     trail: list[tuple[str, LinearMap, int | None]] = []
     cur = m
     while cur.n > 1:

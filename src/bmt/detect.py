@@ -80,6 +80,13 @@ class Witness:
             return span_members(rref(pts)) & m.bits == points_mask(pts)
         return False
 
+    def checked(self, m: Matroid) -> Witness:
+        """Self, once verify(m) holds; a witness that fails it is a bug in
+        the search that produced it and raises TheoremViolation."""
+        if not self.verify(m):
+            raise TheoremViolation(f"{self.kind} witness {self.points} fails to verify")
+        return self
+
 
 def find_triangle(m: Matroid) -> Witness | None:
     """First pair of elements whose sum is also an element."""

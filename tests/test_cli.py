@@ -18,8 +18,9 @@ from bmt import (
     sag,
     serialize_bmat,
 )
-from bmt import census, selftest
-from bmt.cli import _build_parser, main
+from bmt import census, cli, decompose, selftest
+from bmt.cli import MAX_COUNT, _build_parser, main
+from bmt.detect import Witness
 from bmt.errors import TheoremViolation
 
 
@@ -243,6 +244,43 @@ def test_random_usage_error(capsys):
         ["random", "--dim", "3", "--count", "1", "--seed", "1",
          "--class", "i4tf_nonaffine"]
     ) == 2
+
+
+def test_random_count_is_bounded(tmp_path, capsys):
+    argv = ["random", "--dim", "4", "--seed", "1", "--class", "ai4", "--out", str(tmp_path)]
+    for count in ("-3", "0", str(MAX_COUNT + 1)):
+        assert main(argv + ["--count", count]) == 2
+        assert f"count must be between 1 and {MAX_COUNT}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bad_threads_environment_is_format_error(monkeypatch, capsys):
+    monkeypatch.setenv("BMT_THREADS", "x")
+    assert main(["enumerate", "--dim", "2", "--class", "ai4"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: BMT_THREADS must be an integer, got 'x'\n"
+
+
+def test_corrupted_witness_is_theorem_violation(c5_file, pg3_file, monkeypatch, capsys):
+    # The points are not elements of either input, so verification fails.
+    bad = Witness("induced_is", (1, 2, 4, 8), 4)
+    monkeypatch.setattr(decompose, "i4tf_witness", lambda m: bad)
+    assert main(["decompose", c5_file]) == 3
+    assert "fails to verify" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "find_triangle", lambda m: Witness("triangle", (1, 2, 4)))
+    assert main(["check", pg3_file]) == 3
+    assert "fails to verify" in capsys.readouterr().err
+
+
+def test_unexpected_exception_is_internal_error(c5_file, monkeypatch, capsys):
+    def broken(m):
+        raise KeyError("lost point")
+
+    monkeypatch.setattr(cli, "find_triangle", broken)
+    assert main(["check", c5_file]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "internal error: KeyError: 'lost point'\n"
 
 
 def test_selftest_quick(capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from bmt import decompose
 from bmt import (
     AffineChain,
     DoubledSag,
@@ -13,6 +14,7 @@ from bmt import (
     ag,
     apply_map,
     circuit,
+    Witness,
     decompose_affine_step,
     decompose_ai4,
     decompose_i4tf,
@@ -177,6 +179,18 @@ def test_decompose_i4tf_not_member_witnesses():
     res = decompose_i4tf(units(5))
     assert isinstance(res.outcome, NotMember)
     assert res.outcome.witness.kind == "induced_is"
+
+
+def test_decompose_returns_only_verified_witnesses(monkeypatch):
+    # Points 1, 2, 4 are in pg(3) but are no triangle: both decomposers
+    # must refuse to hand such a witness on.
+    fake = Witness("triangle", (1, 2, 4))
+    monkeypatch.setattr(decompose, "i4tf_witness", lambda m: fake)
+    with pytest.raises(TheoremViolation, match="fails to verify"):
+        decompose_i4tf(pg(3))
+    monkeypatch.setattr(decompose, "find_ai4_violation", lambda m: fake)
+    with pytest.raises(TheoremViolation, match="fails to verify"):
+        decompose_ai4(pg(3))
 
 
 def test_decompose_i4tf_exhaustive_dim3():
