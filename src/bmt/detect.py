@@ -59,10 +59,10 @@ class Witness:
         if self.kind == "triangle":
             return len(pts) == 3 and pts[0] ^ pts[1] ^ pts[2] == 0
         if self.kind == "induced_is":
-            s = self.param
-            if s is None or len(pts) != s or rank(pts) != s:
+            basis = rref(pts)
+            if len(basis) != len(pts) or self.param != len(pts):
                 return False
-            return span_members(rref(pts)) & m.bits == points_mask(pts)
+            return span_members(basis) & m.bits == points_mask(pts)
         if self.kind == "ai4_violation":
             if len(pts) != 4 or rank(pts) != 4:
                 return False
@@ -75,9 +75,10 @@ class Witness:
             total = 0
             for p in pts:
                 total ^= p
-            if total != 0 or rank(pts) != k - 1:
+            basis = rref(pts)
+            if total != 0 or len(basis) != k - 1:
                 return False
-            return span_members(rref(pts)) & m.bits == points_mask(pts)
+            return span_members(basis) & m.bits == points_mask(pts)
         return False
 
     def checked(self, m: Matroid) -> Witness:
