@@ -10,6 +10,7 @@ from bmt import (
     CensusReport,
     Matroid,
     affine_witness,
+    ag,
     apply_map,
     canonical_form,
     decompose_i4tf,
@@ -303,3 +304,34 @@ def test_frozen_outputs():
         parts.append(f"{cm.bits:x}:{','.join(map(str, g.images))}")
     digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
     assert digest == FROZEN_CANON_DIGEST
+
+
+# sha256 of "form:map images" over _deep_canon_inputs(), joined by ";".
+# Pins the maps of the deep dim-7 searches, whose pruning is where the
+# search spends its time: two labelings of each tower double^k(sag(m)),
+# AG(6, 2), and seeded ai4 draws (draw 0 is left out for its cost).
+FROZEN_DEEP_CANON_DIGEST = (
+    "e26f6a94f7afc84d4dc9cbdd91ad2323c21c1a85fc250f1372160b06b8eee834"
+)
+
+
+def _deep_canon_inputs():
+    rng = random.Random(SEED + 9)
+    out = []
+    for par in range(3, 7):
+        tower = sag(par)
+        while tower.n < 7:
+            tower = double(tower)
+        out += [apply_map(random_invertible_map(7, rng), tower) for _ in range(2)]
+    out.append(ag(7))
+    out += random_members(7, 4, 0, "ai4")[1:]
+    return out
+
+
+def test_frozen_deep_canonical_maps():
+    parts = []
+    for m in _deep_canon_inputs():
+        cm, g = canonical_form(m)
+        parts.append(f"{cm.bits:x}:{','.join(map(str, g.images))}")
+    digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
+    assert digest == FROZEN_DEEP_CANON_DIGEST

@@ -155,6 +155,27 @@ def test_apply_map_is_a_group_action():
         apply_map(random_invertible_map(3, 1), Matroid(4, 0))
 
 
+@st.composite
+def _canon_cases(draw):
+    # A point set of PG(n-1, 2), empty and full sets drawn on purpose, and
+    # a seeded invertible map to relabel it by.
+    n = draw(st.integers(1, 6))
+    full = (1 << (1 << n)) - 2
+    bits = draw(st.sampled_from((0, full)) | st.integers(0, full)) & full
+    g = random_invertible_map(n, draw(st.integers(0, 2**32)))
+    return Matroid(n, bits), g
+
+
+@settings(max_examples=40, deadline=None)
+@given(_canon_cases())
+def test_canonical_form_properties(case):
+    m, g = case
+    canon, cmap = canonical_form(m)
+    assert apply_map(cmap, m) == canon
+    assert canonical_form(canon)[0] == canon
+    assert canonical_form(apply_map(g, m))[0] == canon
+
+
 def test_induced_restriction_keeps_flat_structure():
     rng = random.Random(SEED + 4)
     for _ in range(60):
