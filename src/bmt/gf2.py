@@ -255,9 +255,16 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
 
     Point sets are ordered by their membership sequence at points 1, 2, ...;
     whichever set contains the first point where they differ comes first.
-    The search enumerates preimage bases depth first, keeps only choices
-    that are optimal block by block, and prunes equivalent branches with
-    automorphisms harvested from equally good leaves.
+    The search enumerates preimage bases depth first and keeps only choices
+    that are optimal block by block; a node whose next block is already
+    worse than the best leaf's stops before building any child.  Equivalent
+    branches are pruned with automorphisms harvested from equally good
+    leaves (at most 240, each a list of 2^n images).  A node closes its
+    candidates under the harvested automorphisms that fix its chosen basis
+    pointwise.  It keeps that list as it goes: a child inherits those that
+    also fix its new basis vector, and each node tests only the
+    automorphisms harvested since it last looked, against its basis alone;
+    being linear, an automorphism that fixes the basis fixes its span.
     """
     full = (1 << (1 << n)) - 2
     if bits == 0 or bits == full:
@@ -277,20 +284,22 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
         rows: list[int],
         spanmask: int,
         blocks: list[int],
+        fixing: list[list[int]],
+        seen: int,
     ) -> None:
         # hp[q] is the image of q under the chosen preimages; rows[v] holds
         # the absence bits of v ^ hp[q], q = 0 most significant, so rows[u]
         # is the next block if u is chosen and smaller rows compare first.
+        # fixing holds the automorphisms among auts[:seen] that fix images.
         nonlocal best_blocks, best_hp, best_images
         depth = len(images)
-        if best_blocks is not None and blocks > best_blocks[:depth]:
-            return
         if depth == n:
+            # The parent's cutoff leaves only leaves at least as good.
             if best_blocks is None or blocks < best_blocks:
                 best_blocks = list(blocks)
                 best_hp = hp[:]
                 best_images = images[:]
-            elif blocks == best_blocks and len(auts) < aut_cap:
+            elif len(auts) < aut_cap:
                 phi = [0] * size
                 for q in range(1, size):
                     phi[best_hp[q]] = hp[q]
@@ -301,39 +310,44 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
             return
         us = [u for u in range(1, size) if not (spanmask >> u) & 1]
         min_bv = min(rows[u] for u in us)
-        cands = [u for u in us if rows[u] == min_bv]
         blocks.append(min_bv)
+        # A child only reaches leaves whose blocks start with these, so
+        # the test cannot turn during the loop below.
+        if best_blocks is not None and blocks > best_blocks[: depth + 1]:
+            blocks.pop()
+            return
+        cands = [u for u in us if rows[u] == min_bv]
         width = len(hp)
         covered = 0
-        filtered: list[list[int]] = []
-        filtered_at = -1
         for u in cands:
             if (covered >> u) & 1:
                 continue
-            if len(auts) != filtered_at:
-                filtered = [phi for phi in auts if all(phi[x] == x for x in hp)]
-                filtered_at = len(auts)
+            fixing += [
+                phi for phi in auts[seen:] if all(phi[x] == x for x in images)
+            ]
+            seen = len(auts)
             block = [u ^ x for x in hp]
             sm = spanmask
             for y in block:
                 sm |= 1 << y
             images.append(u)
             child = [(r << width) | rows[v ^ u] for v, r in enumerate(rows)]
-            dfs(images, hp + block, child, sm, blocks)
+            stab = [phi for phi in fixing if phi[u] == u]
+            dfs(images, hp + block, child, sm, blocks, stab, seen)
             images.pop()
             covered |= 1 << u
-            if filtered:
+            if fixing:
                 frontier = [u]
                 while frontier:
                     x = frontier.pop()
-                    for phi in filtered:
+                    for phi in fixing:
                         y = phi[x]
                         if not (covered >> y) & 1:
                             covered |= 1 << y
                             frontier.append(y)
         blocks.pop()
 
-    dfs([], [0], [((bits >> v) & 1) ^ 1 for v in range(size)], 0, [])
+    dfs([], [0], [((bits >> v) & 1) ^ 1 for v in range(size)], 0, [], [], 0)
     assert best_hp is not None and best_images is not None
     canon = 0
     for q in range(1, size):
