@@ -10,6 +10,7 @@ diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -48,8 +49,12 @@ def _witness_dict(w: Witness) -> dict:
     return d
 
 
-def _check_prop(m: Matroid, name: str) -> tuple[bool, str, dict]:
-    """Returns (passed, text line, json fragment) for one property."""
+def _check_prop(m: Matroid, name: str, odd_circuit) -> tuple[bool, str, dict]:
+    """Returns (passed, text line, json fragment) for one property.
+
+    odd_circuit() gives find_induced_odd_circuit(m); `affine` and
+    `oddcircuit` share it.
+    """
     if name == "triangle":
         w = find_triangle(m)
     elif name == "i4":
@@ -59,12 +64,12 @@ def _check_prop(m: Matroid, name: str) -> tuple[bool, str, dict]:
     elif name == "ai4":
         w = find_ai4_violation(m)
     elif name == "oddcircuit":
-        w = find_induced_odd_circuit(m)
+        w = odd_circuit()
     elif name == "affine":
         aw = affine_witness(m)
         if aw is not None:
             return True, f"affine: yes (functional {aw})", {"pass": True, "functional": aw}
-        w = find_induced_odd_circuit(m)
+        w = odd_circuit()
         if w is not None:
             w = w.checked(m)
         pts = " ".join(str(p) for p in w.points) if w else ""
@@ -90,11 +95,12 @@ def _cmd_check(args) -> int:
     for name in names:
         if name not in PROP_NAMES:
             raise FormatError(f"unknown property {name!r}")
+    odd_circuit = functools.cache(lambda: find_induced_odd_circuit(m))
     results = {}
     lines = []
     failed = False
     for name in names:
-        ok, line, frag = _check_prop(m, name)
+        ok, line, frag = _check_prop(m, name, odd_circuit)
         results[name] = frag
         lines.append(line)
         if not ok and name != "chi":

@@ -68,6 +68,25 @@ def test_check_all_props(c5_file, capsys):
     assert out[6] == "chi: 2"
 
 
+def test_check_shares_one_odd_circuit_search(c5_file, monkeypatch, capsys):
+    # c5 is not affine, so the affine line also reports an odd circuit.
+    want = []
+    for prop in ("affine", "oddcircuit"):
+        assert main(["check", "--props", prop, c5_file]) == 1
+        want += capsys.readouterr().out.splitlines()
+    search = cli.find_induced_odd_circuit
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return search(m)
+
+    monkeypatch.setattr(cli, "find_induced_odd_circuit", counting)
+    assert main(["check", "--props", "affine,oddcircuit", c5_file]) == 1
+    assert capsys.readouterr().out.splitlines() == want
+    assert len(calls) == 1
+
+
 def test_check_json(pg3_file, capsys):
     assert main(["--json", "check", pg3_file]) == 1
     doc = json.loads(capsys.readouterr().out)
@@ -405,3 +424,4 @@ def test_runs_without_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[:3] == ["triangle: none", "i4: none", "ai4: none"]
     assert proc.stdout.splitlines()[3] == "BMAT1 dim=5"
+
