@@ -17,9 +17,7 @@ import json
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 from .construct import STEP_OPS, Certificate, sag
 from .decompose import AffineChain, NotMember, decompose_i4tf
@@ -121,11 +119,15 @@ def walk_grammar(
     frontier = {(start, b.bits): (b.bits, ()) for b in _BASES}
     raw = {b.bits for b in _BASES}
     workers = min(threads, os.cpu_count() or 1)
-    pool = (
-        ProcessPoolExecutor(workers, mp_context=get_context("spawn"))
-        if workers > 1
-        else contextlib.nullcontext()
-    )
+    if workers > 1:
+        # Imported here: the pool modules cost every other run memory and
+        # start-up time.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        pool = ProcessPoolExecutor(workers, mp_context=get_context("spawn"))
+    else:
+        pool = contextlib.nullcontext()
     with pool as executor:
         canon_map = executor.map if executor else map
         for level in range(1, dim):

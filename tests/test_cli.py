@@ -362,7 +362,7 @@ def test_enumerate_threads_capped_at_cpu_count(monkeypatch, capsys):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(census, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
     argv = ["--json", "enumerate", "--dim", "4", "--class", "ai4"]
     assert main(argv + ["--threads", "1"]) == 0
@@ -425,3 +425,19 @@ def test_runs_without_numpy(tmp_path):
     assert proc.stdout.splitlines()[:3] == ["triangle: none", "i4: none", "ai4: none"]
     assert proc.stdout.splitlines()[3] == "BMAT1 dim=5"
 
+
+def test_cli_import_leaves_out_the_process_pool():
+    # The pool modules load only when enumerate starts more than one worker.
+    code = (
+        "import sys\n"
+        "import bmt.cli\n"
+        "pool = {'concurrent.futures.process', 'multiprocessing'}\n"
+        "print(sorted(pool & set(sys.modules)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(bmt.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
