@@ -256,15 +256,14 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     Point sets are ordered by their membership sequence at points 1, 2, ...;
     whichever set contains the first point where they differ comes first.
     The search enumerates preimage bases depth first and keeps only choices
-    that are optimal block by block; a node whose next block is already
-    worse than the best leaf's stops before building any child.  Equivalent
-    branches are pruned with automorphisms harvested from equally good
-    leaves (at most 240, each a list of 2^n images).  A node closes its
-    candidates under the harvested automorphisms that fix its chosen basis
-    pointwise.  It keeps that list as it goes: a child inherits those that
-    also fix its new basis vector, and each node tests only the
-    automorphisms harvested since it last looked, against its basis alone;
-    being linear, an automorphism that fixes the basis fixes its span.
+    that are optimal block by block; a node whose next block already loses
+    to the best leaf builds no child.  Equivalent branches are pruned with
+    automorphisms harvested from equally good leaves, at most 240, each a
+    list of 2^n images.  A node closes its candidates under those that fix
+    its basis pointwise, which, being linear, fix its span.  It keeps that
+    list incrementally: a child inherits the ones that also fix its new
+    basis vector, and a node tests only the automorphisms harvested since
+    it last looked, against its basis alone.
     """
     full = (1 << (1 << n)) - 2
     if bits == 0 or bits == full:
@@ -312,7 +311,7 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
         min_bv = min(rows[u] for u in us)
         blocks.append(min_bv)
         # A child only reaches leaves whose blocks start with these, so
-        # the test cannot turn during the loop below.
+        # the test keeps its answer through the loop below.
         if best_blocks is not None and blocks > best_blocks[: depth + 1]:
             blocks.pop()
             return
