@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+from typing import Callable
 
 from .census import CLASS_TAGS, enumerate_generated, random_members
 from .construct import certificate_from_json
@@ -49,7 +50,9 @@ def _witness_dict(w: Witness) -> dict:
     return d
 
 
-def _check_prop(m: Matroid, name: str, odd_circuit) -> tuple[bool, str, dict]:
+def _check_prop(
+    m: Matroid, name: str, odd_circuit: Callable[[], Witness | None]
+) -> tuple[bool, str, dict]:
     """Returns (passed, text line, json fragment) for one property.
 
     odd_circuit() gives find_induced_odd_circuit(m); `affine` and

@@ -293,7 +293,7 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
         nonlocal best_blocks, best_hp, best_images
         depth = len(images)
         if depth == n:
-            # The parent's cutoff leaves only leaves at least as good.
+            # Past the parent's cutoff, a leaf that is not better ties.
             if best_blocks is None or blocks < best_blocks:
                 best_blocks = list(blocks)
                 best_hp = hp[:]
