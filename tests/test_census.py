@@ -335,3 +335,28 @@ def test_frozen_deep_canonical_maps():
         parts.append(f"{cm.bits:x}:{','.join(map(str, g.images))}")
     digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
     assert digest == FROZEN_DEEP_CANON_DIGEST
+
+
+# sha256 of "form:map images" over _d8_canon_inputs(), joined by ";".
+# Pins the deepest searches: AG(8, 2), a second labeling of the dim-8
+# tower double(sag(6)), and the costliest seeded dim-7 ai4 draw.
+FROZEN_D8_CANON_DIGEST = (
+    "aee7aadfb6b6ddec9ca8d2a538c92288cc7bcf321895d9d97583c207e8db4272"
+)
+
+
+def _d8_canon_inputs():
+    return [
+        ag(8),
+        apply_map(random_invertible_map(8, SEED + 8), double(sag(6))),
+        random_members(7, 4, 0, "ai4")[0],
+    ]
+
+
+def test_frozen_d8_canonical_maps():
+    parts = []
+    for m in _d8_canon_inputs():
+        cm, g = canonical_form(m)
+        parts.append(f"{cm.bits:x}:{','.join(map(str, g.images))}")
+    digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
+    assert digest == FROZEN_D8_CANON_DIGEST
