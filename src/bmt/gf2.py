@@ -13,6 +13,41 @@ from dataclasses import dataclass
 from typing import Iterable
 
 
+# Largest dimension any parsed input may ask for: a point set is a
+# 2^n-bit int and several scans run over all 2^n points.  The translation
+# masks below span 2^MAX_DIM positions.
+MAX_DIM = 16
+
+
+def _low_masks() -> tuple[int, ...]:
+    # Mask i holds the positions p < 2^MAX_DIM with bit i of p clear: a
+    # block of 2^i ones, doubled out to the full width.
+    out = []
+    for i in range(MAX_DIM):
+        mask = (1 << (1 << i)) - 1
+        for k in range(i + 1, MAX_DIM):
+            mask |= mask << (1 << k)
+        out.append(mask)
+    return tuple(out)
+
+
+_LOW = _low_masks()
+
+
+def xor_translate(mask: int, x: int) -> int:
+    """Image of a point set under translation by x (x itself may be 0).
+
+    Translation permutes bit positions, p -> p ^ x.  Each set bit s = 2^i
+    of x is one delta swap of the adjacent s-blocks of positions.
+    """
+    while x:
+        s = x & -x
+        x ^= s
+        low = _LOW[s.bit_length() - 1]
+        mask = ((mask >> s) & low) | ((mask & low) << s)
+    return mask
+
+
 def parity(x: int) -> int:
     return x.bit_count() & 1
 

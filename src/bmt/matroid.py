@@ -14,6 +14,7 @@ from typing import Iterable, NamedTuple
 from .errors import FormatError, TheoremViolation
 from .gf2 import (
     EMPTY_FLAT,
+    MAX_DIM,
     Flat,
     LinearMap,
     canonical_form_bits,
@@ -22,12 +23,8 @@ from .gf2 import (
     linear_system_solve,
     mask_points,
     rref,
+    xor_translate,
 )
-
-
-# Largest dimension any parsed input may ask for: a point set is a
-# 2^n-bit int and several scans run over all 2^n points.
-MAX_DIM = 16
 
 
 @dataclass(frozen=True)
@@ -218,35 +215,6 @@ def affine_witness(m: Matroid) -> int | None:
 
 def is_affine(m: Matroid) -> bool:
     return affine_witness(m) is not None
-
-
-def _low_masks() -> tuple[int, ...]:
-    # Mask i holds the positions p < 2^MAX_DIM with bit i of p clear: a
-    # block of 2^i ones, doubled out to the full width.
-    out = []
-    for i in range(MAX_DIM):
-        mask = (1 << (1 << i)) - 1
-        for k in range(i + 1, MAX_DIM):
-            mask |= mask << (1 << k)
-        out.append(mask)
-    return tuple(out)
-
-
-_LOW = _low_masks()
-
-
-def xor_translate(mask: int, x: int) -> int:
-    """Image of a point set under translation by x (x itself may be 0).
-
-    Translation permutes bit positions, p -> p ^ x.  Each set bit s = 2^i
-    of x is one delta swap of the adjacent s-blocks of positions.
-    """
-    while x:
-        s = x & -x
-        x ^= s
-        low = _LOW[s.bit_length() - 1]
-        mask = ((mask >> s) & low) | ((mask & low) << s)
-    return mask
 
 
 def sumset(a_mask: int, b_mask: int) -> int:

@@ -22,6 +22,8 @@ from bmt import (
     sumset,
     xor_translate,
 )
+import bmt.gf2
+import bmt.matroid
 from bmt.gf2 import closure, random_invertible_map
 from bmt.matroid import MAX_DIM
 from oracles import (
@@ -102,6 +104,13 @@ def test_xor_translate_matches_brute(case):
     mask, x = case
     assert xor_translate(mask, x) == brute_translate(mask, x)
     assert xor_translate(xor_translate(mask, x), x) == mask
+
+
+def test_one_translation_kernel():
+    # matroid and the package re-export gf2's kernel and its bound.
+    assert bmt.matroid.xor_translate is bmt.gf2.xor_translate
+    assert xor_translate is bmt.gf2.xor_translate
+    assert MAX_DIM == bmt.gf2.MAX_DIM
 
 
 def test_bmat_round_trip_points_and_bits():
