@@ -291,19 +291,27 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     Point sets are ordered by their membership sequence at points 1, 2, ...;
     whichever set contains the first point where they differ comes first.
     The search enumerates preimage bases depth first and keeps only choices
-    that are optimal block by block; a node whose next block already loses
-    to the best leaf builds no child.  Equivalent branches are pruned with
-    automorphisms harvested from equally good leaves, at most 240, each a
-    list of 2^n images.  A node closes its candidates under those that fix
-    its basis pointwise, which, being linear, fix its span.  It keeps that
-    list incrementally: a child inherits the ones that also fix its new
-    basis vector, and a node tests only the automorphisms harvested since
-    it last looked, against its basis alone.
+    that are optimal block by block.  The chosen vectors fix the images h_q
+    of the points q < 2^depth, and a node keeps one column bitset per q,
+    the vectors v with v ^ h_q absent; the next block of a candidate v is
+    its bits down the columns.  The least block and the candidates giving
+    it come from refining the candidate set one column at a time: keep the
+    candidates present there if there are any, else emit an absence bit.
+    A child's new columns are translates of its parent's by its last
+    vector, built as the refinement reaches them.  While a node's blocks
+    tie the best leaf's, each bit is compared as it is produced, and the
+    node returns at its first larger bit.  Equivalent branches are pruned
+    with automorphisms harvested from equally good leaves, at most 240,
+    each a list of 2^n images.  A node closes its candidates under those
+    that fix its basis pointwise, which, being linear, fix its span.  It
+    keeps that list incrementally: a child inherits the ones that also fix
+    its new basis vector, and a node tests only the automorphisms harvested
+    since it last looked, against its basis alone.
     """
-    full = (1 << (1 << n)) - 2
+    size = 1 << n
+    full = (1 << size) - 2
     if bits == 0 or bits == full:
         return bits, identity_map(n)
-    size = 1 << n
 
     best_blocks: list[int] | None = None
     best_hp: list[int] | None = None
@@ -314,62 +322,82 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
 
     def dfs(
         images: list[int],
-        hp: list[int],
-        rows: list[int],
+        cols: list[int],
         spanmask: int,
         blocks: list[int],
         fixing: list[list[int]],
         seen: int,
     ) -> None:
-        # hp[q] is the image of q under the chosen preimages; rows[v] holds
-        # the absence bits of v ^ hp[q], q = 0 most significant, so rows[u]
-        # is the next block if u is chosen and smaller rows compare first.
-        # fixing holds the automorphisms among auts[:seen] that fix images.
+        # cols are the parent's columns (the root's one column for the
+        # root); the node's own are those and their translates by its last
+        # vector.  Column q holds the v with v ^ hp[q] absent, where hp[q]
+        # is the image of q under the chosen preimages.  fixing holds the
+        # automorphisms among auts[:seen] that fix images.
         nonlocal best_blocks, best_hp, best_images
         depth = len(images)
         if depth == n:
-            # Past the parent's cutoff, a leaf that is not better ties.
-            if best_blocks is None or blocks < best_blocks:
+            # Past the cutoff, a leaf that is not better ties.
+            better = best_blocks is None or blocks < best_blocks
+            if not better and len(auts) >= aut_cap:
+                return
+            hp = [0]
+            for x in images:
+                hp += [x ^ y for y in hp]
+            if better:
                 best_blocks = list(blocks)
-                best_hp = hp[:]
+                best_hp = hp
                 best_images = images[:]
-            elif len(auts) < aut_cap:
-                phi = [0] * size
-                for q in range(1, size):
-                    phi[best_hp[q]] = hp[q]
-                key = tuple(phi[1 << i] for i in range(n))
-                if key not in aut_keys:
-                    aut_keys.add(key)
-                    auts.append(phi)
+                return
+            phi = [0] * size
+            for q in range(1, size):
+                phi[best_hp[q]] = hp[q]
+            key = tuple(phi[1 << i] for i in range(n))
+            if key not in aut_keys:
+                aut_keys.add(key)
+                auts.append(phi)
             return
-        us = [u for u in range(1, size) if not (spanmask >> u) & 1]
-        min_bv = min(rows[u] for u in us)
-        blocks.append(min_bv)
-        # A child only reaches leaves whose blocks start with these, so
-        # the test keeps its answer through the loop below.
-        if best_blocks is not None and blocks > best_blocks[: depth + 1]:
-            blocks.pop()
-            return
-        cands = [u for u in us if rows[u] == min_bv]
-        width = len(hp)
+        last = images[-1] if images else 0
+        half = len(cols)
+        width = 1 << depth
+        # Blocks before this one are never worse than the best leaf's; a
+        # tie leaves this block to be cut bit by bit.
+        tie = best_blocks is not None and blocks == best_blocks[:depth]
+        best = best_blocks[depth] if tie else 0
+        cands = full & ~spanmask
+        block = 0
+        new = []
+        for q in range(width):
+            if q < half:
+                col = cols[q]
+            else:
+                col = xor_translate(cols[q - half], last)
+                new.append(col)
+            present = cands & ~col
+            if present:
+                cands = present
+                block <<= 1
+            else:
+                block = (block << 1) | 1
+            if tie and block != best >> (width - 1 - q):
+                if block > best >> (width - 1 - q):
+                    return
+                tie = False
+        blocks.append(block)
+        cols = cols + new
         covered = 0
-        for u in cands:
-            if (covered >> u) & 1:
-                continue
+        while rest := cands & ~covered:
+            low = rest & -rest
+            u = low.bit_length() - 1
             fixing += [
                 phi for phi in auts[seen:] if all(phi[x] == x for x in images)
             ]
             seen = len(auts)
-            block = [u ^ x for x in hp]
-            sm = spanmask
-            for y in block:
-                sm |= 1 << y
             images.append(u)
-            child = [(r << width) | rows[v ^ u] for v, r in enumerate(rows)]
             stab = [phi for phi in fixing if phi[u] == u]
-            dfs(images, hp + block, child, sm, blocks, stab, seen)
+            sm = spanmask | xor_translate(spanmask | 1, u)
+            dfs(images, cols, sm, blocks, stab, seen)
             images.pop()
-            covered |= 1 << u
+            covered |= low
             if fixing:
                 frontier = [u]
                 while frontier:
@@ -381,7 +409,7 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
                             frontier.append(y)
         blocks.pop()
 
-    dfs([], [0], [((bits >> v) & 1) ^ 1 for v in range(size)], 0, [], [], 0)
+    dfs([], [((1 << size) - 1) ^ bits], 0, [], [], 0)
     assert best_hp is not None and best_images is not None
     canon = 0
     for q in range(1, size):
