@@ -327,10 +327,11 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
         blocks: list[int],
         fixing: list[list[int]],
         seen: int,
+        pcands: int,
     ) -> None:
         # cols are the parent's columns (the root's one column for the
         # root); the node's own are those and their translates by its last
-        # vector.  Column q holds the v with v ^ hp[q] absent, where hp[q]
+        # vector.  Column q holds the v with v ^ hp[q] present, where hp[q]
         # is the image of q under the chosen preimages.  fixing holds the
         # automorphisms among auts[:seen] that fix images.
         nonlocal best_blocks, best_hp, best_images
@@ -359,29 +360,40 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
         last = images[-1] if images else 0
         half = len(cols)
         width = 1 << depth
-        # Blocks before this one are never worse than the best leaf's; a
-        # tie leaves this block to be cut bit by bit.
-        tie = best_blocks is not None and blocks == best_blocks[:depth]
-        best = best_blocks[depth] if tie else 0
+        # Blocks before this one are never worse than the best leaf's.  On
+        # a tie this block may not exceed the best leaf's, and only an
+        # absence bit can make it.
+        if best_blocks is not None and blocks == best_blocks[:depth]:
+            bound = best_blocks[depth]
+        else:
+            bound = (1 << width) - 1
         cands = full & ~spanmask
         block = 0
+        start = 0
+        # Over the parent's columns the parent's least block is still least
+        # if one of the vectors giving it is still off the span; if none
+        # is, this block's first half is larger, and loses to a best leaf
+        # whose first half is the parent's block.
+        if kept := pcands & cands:
+            cands = kept
+            block = blocks[-1]
+            start = half
+        elif depth and bound >> half == blocks[-1]:
+            return
         new = []
-        for q in range(width):
+        for q in range(start, width):
             if q < half:
                 col = cols[q]
             else:
                 col = xor_translate(cols[q - half], last)
                 new.append(col)
-            present = cands & ~col
-            if present:
+            if present := cands & col:
                 cands = present
                 block <<= 1
             else:
                 block = (block << 1) | 1
-            if tie and block != best >> (width - 1 - q):
-                if block > best >> (width - 1 - q):
+                if block > bound >> (width - 1 - q):
                     return
-                tie = False
         blocks.append(block)
         cols = cols + new
         covered = 0
@@ -395,7 +407,7 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
             images.append(u)
             stab = [phi for phi in fixing if phi[u] == u]
             sm = spanmask | xor_translate(spanmask | 1, u)
-            dfs(images, cols, sm, blocks, stab, seen)
+            dfs(images, cols, sm, blocks, stab, seen, cands)
             images.pop()
             covered |= low
             if fixing:
@@ -409,7 +421,7 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
                             frontier.append(y)
         blocks.pop()
 
-    dfs([], [((1 << size) - 1) ^ bits], 0, [], [], 0)
+    dfs([], [bits], 0, [], [], 0, 0)
     assert best_hp is not None and best_images is not None
     canon = 0
     for q in range(1, size):
