@@ -291,22 +291,27 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     Point sets are ordered by their membership sequence at points 1, 2, ...;
     whichever set contains the first point where they differ comes first.
     The search enumerates preimage bases depth first and keeps only choices
-    that are optimal block by block.  The chosen vectors fix the images h_q
-    of the points q < 2^depth, and a node keeps one column bitset per q,
-    the vectors v with v ^ h_q absent; the next block of a candidate v is
-    its bits down the columns.  The least block and the candidates giving
-    it come from refining the candidate set one column at a time: keep the
-    candidates present there if there are any, else emit an absence bit.
-    A child's new columns are translates of its parent's by its last
-    vector, built as the refinement reaches them.  While a node's blocks
-    tie the best leaf's, each bit is compared as it is produced, and the
-    node returns at its first larger bit.  Equivalent branches are pruned
-    with automorphisms harvested from equally good leaves, at most 240,
-    each a list of 2^n images.  A node closes its candidates under those
-    that fix its basis pointwise, which, being linear, fix its span.  It
-    keeps that list incrementally: a child inherits the ones that also fix
-    its new basis vector, and a node tests only the automorphisms harvested
-    since it last looked, against its basis alone.
+    that are optimal block by block.  A node at depth d has fixed the images
+    h_q of the points q < 2^d.  Its columns are bitsets, column q holding
+    the vectors v with v ^ h_q in the set, and the next block of a
+    candidate v reads down the columns, bit q set when v is not in column
+    q.  The least block and the candidates giving it come from refining the
+    candidates one column at a time: keep those in the column if there are
+    any, else emit a 1 bit.  A node's columns are its parent's and their
+    translates by its last vector.  It refines the second half against its
+    parent's columns with the candidates translated by that vector, so only
+    a node whose children are not leaves translates columns, to hand them
+    down.  The first half is the parent's least block whenever a vector
+    giving it is still off the span.  While a node's blocks tie the best
+    leaf's, each 1 bit is compared as it is produced, and the node returns
+    at its first larger bit.  Equivalent branches are pruned with
+    automorphisms harvested from equally good leaves, at most 240, each a
+    list of 2^n images.  A node closes its candidates under those that fix
+    its basis pointwise, which, being linear, fix its span, and stops once
+    every candidate is covered.  It keeps that list incrementally: a child
+    inherits the ones that also fix its new basis vector, and a node tests
+    only the automorphisms harvested since it last looked, against its
+    basis alone.
     """
     size = 1 << n
     full = (1 << size) - 2
@@ -329,10 +334,10 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
         seen: int,
         pcands: int,
     ) -> None:
-        # cols are the parent's columns (the root's one column for the
-        # root); the node's own are those and their translates by its last
-        # vector.  Column q holds the v with v ^ hp[q] present, where hp[q]
-        # is the image of q under the chosen preimages.  fixing holds the
+        # cols are the parent's columns, the root's one column for the
+        # root; column q holds the v with v ^ hp[q] in the set, where hp[q]
+        # is the image of q under the chosen preimages.  pcands are the
+        # parent's candidates for its block.  fixing holds the
         # automorphisms among auts[:seen] that fix images.
         nonlocal best_blocks, best_hp, best_images
         depth = len(images)
@@ -369,33 +374,36 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
             bound = (1 << width) - 1
         cands = full & ~spanmask
         block = 0
-        start = 0
-        # Over the parent's columns the parent's least block is still least
-        # if one of the vectors giving it is still off the span; if none
-        # is, this block's first half is larger, and loses to a best leaf
-        # whose first half is the parent's block.
+        # Past the root, the second half of the columns is cols translated
+        # by the last vector: refine it on cols with the candidates
+        # translated instead.
+        frames = (0, last) if depth else (0,)
+        # Over cols the parent's least block is still least if a vector
+        # giving it is still off the span.  If none is, this block's first
+        # half is larger and loses to a best leaf whose first half is the
+        # parent's block.
         if kept := pcands & cands:
             cands = kept
             block = blocks[-1]
-            start = half
+            frames = (last,)
         elif depth and bound >> half == blocks[-1]:
             return
-        new = []
-        for q in range(start, width):
-            if q < half:
-                col = cols[q]
-            else:
-                col = xor_translate(cols[q - half], last)
-                new.append(col)
-            if present := cands & col:
-                cands = present
-                block <<= 1
-            else:
-                block = (block << 1) | 1
-                if block > bound >> (width - 1 - q):
-                    return
+        first = width - half * len(frames)
+        for t in frames:
+            cands = xor_translate(cands, t)
+            for q, col in enumerate(cols, first):
+                if present := cands & col:
+                    cands = present
+                    block <<= 1
+                else:
+                    block = (block << 1) | 1
+                    if block > bound >> (width - 1 - q):
+                        return
+            cands = xor_translate(cands, t)
+            first += half
         blocks.append(block)
-        cols = cols + new
+        if depth and depth + 1 < n:
+            cols = cols + [xor_translate(col, last) for col in cols]
         covered = 0
         while rest := cands & ~covered:
             low = rest & -rest
@@ -412,7 +420,7 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
             covered |= low
             if fixing:
                 frontier = [u]
-                while frontier:
+                while frontier and cands & ~covered:
                     x = frontier.pop()
                     for phi in fixing:
                         y = phi[x]
