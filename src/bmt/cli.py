@@ -95,6 +95,8 @@ def _check_prop(
 def _cmd_check(args) -> int:
     m = _read_matroid(args.file)
     names = [s.strip() for s in args.props.split(",") if s.strip()]
+    if not names:
+        raise FormatError("no property to check")
     for name in names:
         if name not in PROP_NAMES:
             raise FormatError(f"unknown property {name!r}")

@@ -99,6 +99,14 @@ def test_check_unknown_prop_is_usage_error(c5_file, capsys):
     assert main(["check", "--props", "bogus", c5_file]) == 2
 
 
+@pytest.mark.parametrize("props", [",", "", " , ,"])
+def test_check_empty_prop_list_is_usage_error(c5_file, capsys, props):
+    assert main(["check", "--props", props, c5_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "no property to check" in err
+
+
 def test_check_missing_file(capsys):
     assert main(["check", "definitely-not-here.bmat"]) == 2
 
