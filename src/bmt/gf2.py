@@ -366,8 +366,8 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
         half = len(cols)
         width = 1 << depth
         # Blocks before this one are never worse than the best leaf's.  On
-        # a tie this block may not exceed the best leaf's, and only an
-        # absence bit can make it.
+        # a tie this block may not exceed the best leaf's, and only a 1 bit
+        # can push it over.
         if best_blocks is not None and blocks == best_blocks[:depth]:
             bound = best_blocks[depth]
         else:

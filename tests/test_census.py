@@ -309,7 +309,8 @@ def test_frozen_outputs():
 # sha256 of "form:map images" over _deep_canon_inputs(), joined by ";".
 # Pins the maps of the deep dim-7 searches, whose pruning is where the
 # search spends its time: two labelings of each tower double^k(sag(m)),
-# AG(6, 2), and seeded ai4 draws (draw 0 is left out for its cost).
+# AG(6, 2), and seeded ai4 draws (draw 0 is pinned with the dim-8 maps
+# below, for its cost).
 FROZEN_DEEP_CANON_DIGEST = (
     "e26f6a94f7afc84d4dc9cbdd91ad2323c21c1a85fc250f1372160b06b8eee834"
 )
