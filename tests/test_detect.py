@@ -122,6 +122,20 @@ def _sparse_bits(rng, n):
     return sum(1 << p for p in rng.sample(range(1, 1 << n), rng.randrange(4, 1 << (n - 1))))
 
 
+def _doubled(rng, n, count):
+    # double(c) for seeded sets c and class members at dim n, each also
+    # with one point of c added or removed, so that witnesses are found
+    # and missed.
+    cores = [Matroid(n, _sparse_bits(rng, n)) for _ in range(count)]
+    for tag in ("ai4", "i4tf_affine", "i4tf_nonaffine"):
+        cores += random_members(n, count // 2 + 1, SEED + n, tag)
+    out = []
+    for c in cores:
+        p = rng.randrange(1, 1 << n)
+        out += [double(c), double(Matroid(n, c.bits ^ (1 << p)))]
+    return out
+
+
 def _assert_searches_match_brute(sets, n, sizes):
     # Both outcomes must occur, so the exhaustive no-witness path is run
     # as well as the early exit.
@@ -150,6 +164,12 @@ def test_dfs_searches_match_brute_without_tables(monkeypatch):
         sets += [random_bits(rng, n) for _ in range(10)]
         for tag in ("ai4", "i4tf_affine", "i4tf_nonaffine"):
             sets += [m.bits for m in random_members(n, 3, SEED, tag)]
+        _assert_searches_match_brute(sets, n, (4,))
+    # Doubled sets have a nonzero translation stabilizer W (E + w = E).
+    # The oracles take seconds on the larger dim-6 sets.
+    for n in (5, 6):
+        sets = [m.bits for m in _doubled(rng, n - 1, 8 if n == 5 else 3) if m.size <= 32]
+        assert all(find_doubling_element(Matroid(n, bits)) for bits in sets)
         _assert_searches_match_brute(sets, n, (4,))
 
 
@@ -190,6 +210,38 @@ def test_search_witnesses_frozen():
         parts += ["-" if w is None else f"{w.kind}:{w.points}" for w in found]
     digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
     assert digest == FROZEN_SEARCH_DIGEST
+
+
+# sha256 of the witnesses of _doubled_search_inputs(), as for
+# FROZEN_SEARCH_DIGEST.  Each input has a nonzero translation stabilizer.
+FROZEN_DOUBLED_DIGEST = "ec204a2bd3936df80ae64917bdbee3d580cb4b3b8b775c96bb186cef57bf9e16"
+
+
+def _doubled_search_inputs():
+    rng = random.Random(SEED + 13)
+    out = []
+    for n in (4, 5, 6, 7):
+        out += _doubled(rng, n, 3)
+    for k, par in ((1, 7), (2, 6), (3, 5)):
+        tower = sag(par)
+        for _ in range(k):
+            tower = double(tower)
+        out.append(apply_map(random_invertible_map(9, rng), tower))
+    out.append(ag(9))
+    return out
+
+
+def test_doubled_search_witnesses_frozen():
+    parts = []
+    outcomes = set()
+    for m in _doubled_search_inputs():
+        assert find_doubling_element(m) is not None
+        found = [find_induced_is(m, 3), find_induced_is(m, 4), find_ai4_violation(m)]
+        outcomes |= {(i, w is None) for i, w in enumerate(found)}
+        parts += ["-" if w is None else f"{w.kind}:{w.points}" for w in found]
+    assert outcomes == {(i, b) for i in range(3) for b in (True, False)}
+    digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
+    assert digest == FROZEN_DOUBLED_DIGEST
 
 
 def test_ai4_trivial_below_dim4():
