@@ -17,6 +17,7 @@ from .gf2 import (
     Flat,
     LinearMap,
     closure,
+    coset_leaders,
     functional_kernel,
     linear_system_solve,
     mask_points,
@@ -24,6 +25,8 @@ from .gf2 import (
     rank,
     rref,
     span_members,
+    stabilizer,
+    translates,
 )
 from .construct import sag
 from .matroid import Matroid, affine_witness, apply_map, is_affine, xor_translate
@@ -162,66 +165,112 @@ def _first_quad(m: Matroid, avoid: str) -> tuple[int, ...] | None:
     return tuple(table["quads"][4 * i : 4 * i + 4]) or None
 
 
+def _doubling_group(t: list[int], n: int) -> tuple[int, int]:
+    # W = {w : E + w = E} read from E's translates table, as a point set
+    # with 0, and the least point of each W-coset.  Every map
+    # x -> x + L(x), with L linear into W and zero on W, fixes E.
+    stab = stabilizer(t)
+    return points_mask(stab), coset_leaders(rref(stab), n)
+
+
 def find_induced_is(m: Matroid, s: int) -> Witness | None:
-    """Least s elements that are independent and span no other element."""
+    """Least s elements that are independent and span no other element.
+
+    A DFS over ascending choices: it meets s-sets in lex order, so the
+    first witness it finds is the least one.  A node keeps the elements y
+    above its last choice with y + v off E for every v in the span of the
+    choices; E + v is entry v of E's translates table.
+
+    Each choice but the last is the least point of its coset of
+    W = {w : E + w = E}.  Take a candidate x off span + W.  Some map
+    x -> x + L(x), L linear into W and zero on W and on the choices,
+    fixes E and the choices and carries x to any point of x + W, so each
+    witness through x has a lex smaller image unless x is the least
+    point there.  A candidate x on span + W is a choice c plus some
+    w != 0 in W, and no witness goes through it: a later element z puts
+    z + w = z + c + x in the span and on E, so the set would be closed
+    under + w, and such a set of three or more elements is dependent.
+    With W = {0} every candidate is a least point.
+    """
     if not 2 <= s <= m.n:
         raise ValueError(f"need 2 <= s <= {m.n}, got {s}")
     if s == 4 and m.n in _TABLE_DIMS:
         quad = _first_quad(m, "span")
         return Witness("induced_is", quad, 4) if quad else None
+    t = translates(m.bits, m.n)
+    _, leaders = _doubling_group(t, m.n)
     chosen: list[int] = []
 
-    # allowed: the elements y above the last choice that may join, those
-    # with y ^ t off E for every nonzero t in the span; reach: E + span.
-    # Choosing x adds x + span to the span, so its children keep the y
-    # off x + reach.  Children come in ascending order, so the first
-    # witness found is the least one.
-    def rec(allowed: int, reach: int) -> bool:
+    # allowed: the elements above the last choice that may join; span:
+    # the span of the choices, 0 first.
+    def rec(allowed: int, span: list[int]) -> bool:
         depth = len(chosen)
-        while allowed.bit_count() >= s - depth:
-            low = allowed & -allowed
-            allowed ^= low
+        cands = allowed & leaders
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            allowed &= -(low << 1)
+            if allowed.bit_count() < s - 1 - depth:
+                return False
             x = low.bit_length() - 1
-            shifted = xor_translate(reach, x)
-            rest = allowed & ~shifted
+            excluded = 0
+            for v in span:
+                excluded |= t[v ^ x]
+            rest = allowed & ~excluded
             if depth == s - 2:
                 if rest:
                     chosen.extend((x, (rest & -rest).bit_length() - 1))
                     return True
                 continue
             chosen.append(x)
-            if rec(rest, reach | shifted):
+            if rec(rest, span + [v ^ x for v in span]):
                 return True
             chosen.pop()
         return False
 
-    if rec(m.bits, m.bits):
+    if rec(m.bits, [0]):
         return Witness("induced_is", tuple(chosen), s)
     return None
 
 
 def find_ai4_violation(m: Matroid) -> Witness | None:
-    """Least independent 4-subset of E with all four triple sums off E."""
+    """Least independent 4-subset of E with all four triple sums off E.
+
+    A DFS over ascending choices, so the first violation it finds is the
+    least one.  It prunes with W = {w : E + w = E} as find_induced_is
+    does, except that a candidate on span + W can lie in a violation
+    (a, b, c and a + b + w, with a + b on E), and no map that fixes the
+    choices moves it.  So a node branches on the candidates in span + W
+    and on the least point of each W-coset.
+    """
     if m.n < 4:
         return None
     if m.n in _TABLE_DIMS:
         quad = _first_quad(m, "trip")
         return Witness("ai4_violation", quad) if quad else None
-    e = m.bits
+    t = translates(m.bits, m.n)
+    wmask, leaders = _doubling_group(t, m.n)
     chosen: list[int] = []
 
     # Choosing x after p1 (and p2) drops the candidates y that would put
-    # the triple sum p1 ^ x ^ y (and p2 ^ x ^ y) on E, along with the span.
-    def rec(allowed: int, spanmask: int) -> bool:
+    # the triple sum p1 ^ x ^ y (and p2 ^ x ^ y) on E, those in
+    # E + (p ^ x), along with the span.  spanw is span + W, 0 included.
+    # A child whose allowed set holds only least points gets its parent's
+    # spanw: below it, cands is allowed whatever spanw holds.
+    def rec(allowed: int, spanmask: int, spanw: int) -> bool:
         depth = len(chosen)
-        while allowed.bit_count() >= 4 - depth:
-            low = allowed & -allowed
-            allowed ^= low
+        cands = allowed & (leaders | spanw)
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            allowed &= -(low << 1)
+            if allowed.bit_count() < 3 - depth:
+                return False
             x = low.bit_length() - 1
             nspan = spanmask | xor_translate(spanmask, x)
             drop = nspan
             for p in chosen:
-                drop |= xor_translate(e, p ^ x)
+                drop |= t[p ^ x]
             rest = allowed & ~drop
             if depth == 2:
                 if rest:
@@ -229,12 +278,13 @@ def find_ai4_violation(m: Matroid) -> Witness | None:
                     return True
                 continue
             chosen.append(x)
-            if rec(rest, nspan):
+            below = spanw | xor_translate(spanw, x) if rest & ~leaders else spanw
+            if rec(rest, nspan, below):
                 return True
             chosen.pop()
         return False
 
-    if rec(e, 1):
+    if rec(m.bits, 1, wmask):
         return Witness("ai4_violation", tuple(chosen))
     return None
 
@@ -265,17 +315,20 @@ def find_induced_odd_circuit(m: Matroid, kmax: int | None = None) -> Witness | N
         kmax = max(kmax, 3)
     if kmax % 2 == 0 or kmax < 3:
         raise ValueError(f"kmax must be odd and at least 3, got {kmax}")
+    t = translates(m.bits, n)
     for k in range(3, kmax + 1, 2):
-        w = _circuit_search(m, k)
+        w = _circuit_search(m, t, k)
         if w is not None:
             return w
     return None
 
 
-def _circuit_search(m: Matroid, k: int) -> Witness | None:
+def _circuit_search(m: Matroid, t: list[int], k: int) -> Witness | None:
     # Choose k-2 elements as find_induced_is does, then a last one x whose
     # new span points x + span* hold exactly one element, x ^ xorsum,
-    # which closes the circuit.
+    # which closes the circuit.  t is E's translates table.  The visit
+    # order is not lex order over the sorted witness, so the pruning of
+    # find_induced_is does not apply.
     e = m.bits
     chosen: list[int] = []
 
@@ -283,7 +336,7 @@ def _circuit_search(m: Matroid, k: int) -> Witness | None:
         depth = len(chosen)
         if depth == k - 2:
             top = chosen[-1] + 1
-            cands = (e >> top << top) & xor_translate(e, xorsum)
+            cands = (e >> top << top) & t[xorsum]
             while cands:
                 low = cands & -cands
                 cands ^= low
@@ -367,10 +420,11 @@ def _largest_flat_dim(allowed: int, forbidden: int, n: int) -> int:
 
 def find_doubling_element(m: Matroid) -> tuple[int, Flat] | None:
     """Least nonelement w with w + E = E, plus a hyperplane missing w."""
-    for w in range(1, 1 << m.n):
-        if xor_translate(m.bits, w) == m.bits:
-            return w, functional_kernel(w & -w, m.n)
-    return None
+    stab = stabilizer(translates(m.bits, m.n))
+    if len(stab) == 1:
+        return None
+    w = stab[1]
+    return w, functional_kernel(w & -w, m.n)
 
 
 def recognize_affine_geometry(m: Matroid) -> tuple[Flat, Flat] | None:
@@ -405,16 +459,20 @@ def recognize_sag(m: Matroid) -> tuple[int, LinearMap] | None:
     if closure(m.points, n).dim != n:
         return None
     pts = m.points
+    t = translates(m.bits, n)
     for i, a in enumerate(pts):
         for b in pts[i + 1:]:
             y = a ^ b
             if m.contains(y):
                 continue
-            fmask = xor_translate(m.bits ^ (1 << a) ^ (1 << b), y)
+            # (E - a - b) + y, with a + y = b and b + y = a.
+            fmask = t[y] ^ (1 << a) ^ (1 << b)
             # A flat is fixed by translation by any of its points; most
-            # pairs fail this before the elimination below.
+            # pairs fail this before the elimination below.  The test
+            # reads (fmask + 0) + least from the table as well.
             least = (fmask & -fmask).bit_length() - 1
-            if xor_translate(fmask | 1, least) != fmask | 1:
+            moved = t[y ^ least] ^ (1 << (a ^ least)) ^ (1 << (b ^ least))
+            if moved ^ (1 << least) != fmask | 1:
                 continue
             fbasis = rref(mask_points(fmask))
             if len(fbasis) != n - 2 or span_members(fbasis) != fmask:

@@ -48,6 +48,40 @@ def xor_translate(mask: int, x: int) -> int:
     return mask
 
 
+def translates(mask: int, n: int) -> list[int]:
+    """All translates of a point set: entry v is xor_translate(mask, v).
+
+    Built by doubling: the second half of the first 2^(i+1) entries is
+    the first half under one delta swap by 2^i.  The table holds 2^n
+    sets of 2^n bits each.
+    """
+    table = [mask]
+    for i in range(n):
+        s = 1 << i
+        low = _LOW[i]
+        table += [((t >> s) & low) | ((t & low) << s) for t in table]
+    return table
+
+
+def stabilizer(table: list[int]) -> list[int]:
+    """The v, ascending and 0 first, whose translate in a translates()
+    table is the set itself."""
+    mask = table[0]
+    return [v for v, t in enumerate(table) if t == mask]
+
+
+def coset_leaders(basis: Iterable[int], n: int) -> int:
+    """Point set of the v < 2^n least in their coset v + span(basis).
+
+    basis must be reduced (rref); the least point of a coset is the one
+    with every pivot bit clear.
+    """
+    mask = (1 << (1 << n)) - 1
+    for b in basis:
+        mask &= _LOW[b.bit_length() - 1]
+    return mask
+
+
 def parity(x: int) -> int:
     return x.bit_count() & 1
 

@@ -23,6 +23,8 @@ from .gf2 import (
     linear_system_solve,
     mask_points,
     rref,
+    stabilizer,
+    translates,
     xor_translate,
 )
 
@@ -241,10 +243,7 @@ def stabilizer_flat(m: Matroid) -> StabilizerResult:
     n = m.n
     full = (1 << (1 << n)) - 2
     target = m.bits if m.size % 2 == 0 else m.bits ^ full
-    stab = [0]
-    for x in range(1, 1 << n):
-        if xor_translate(target, x) == target:
-            stab.append(x)
+    stab = stabilizer(translates(target, n))
     if len(stab) & (len(stab) - 1):
         raise TheoremViolation("stabilizer is not a subspace")
     members = 0
@@ -258,13 +257,13 @@ def stabilizer_flat(m: Matroid) -> StabilizerResult:
         raise TheoremViolation("cross sums do not match the stabilizer flat")
 
     tile = m.bits if m.size % 2 == 0 else m.bits | 1
-    translates = []
+    reps = []
     remaining = tile
     while remaining:
         t = (remaining & -remaining).bit_length() - 1
         coset = xor_translate(members | 1, t)
         if coset & tile != coset:
             raise TheoremViolation("elements are not a union of cosets")
-        translates.append(t)
+        reps.append(t)
         remaining &= ~coset
-    return StabilizerResult(flat, tuple(translates))
+    return StabilizerResult(flat, tuple(reps))

@@ -25,10 +25,11 @@ from bmt import (
     recognize_affine_geometry,
     recognize_sag,
     sag,
+    stabilizer_flat,
     units,
     xor_translate,
 )
-from bmt.gf2 import random_invertible_map
+from bmt.gf2 import points_mask, random_invertible_map, translates
 from oracles import (
     brute_affine_w,
     brute_ai4_violation,
@@ -166,9 +167,13 @@ def test_dfs_searches_match_brute_without_tables(monkeypatch):
             sets += [m.bits for m in random_members(n, 3, SEED, tag)]
         _assert_searches_match_brute(sets, n, (4,))
     # Doubled sets have a nonzero translation stabilizer W (E + w = E).
-    # The oracles take seconds on the larger dim-6 sets.
+    # The oracles take seconds on the larger dim-6 sets.  The least AI4
+    # violations of double(c) for the four fixed cores c take a point of
+    # span + W that is not the least point of its W-coset.
     for n in (5, 6):
         sets = [m.bits for m in _doubled(rng, n - 1, 8 if n == 5 else 3) if m.size <= 32]
+        if n == 5:
+            sets += [double(Matroid(4, bits)).bits for bits in (1020, 1530, 1782, 2550)]
         assert all(find_doubling_element(Matroid(n, bits)) for bits in sets)
         _assert_searches_match_brute(sets, n, (4,))
 
@@ -242,6 +247,24 @@ def test_doubled_search_witnesses_frozen():
     assert outcomes == {(i, b) for i in range(3) for b in (True, False)}
     digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
     assert digest == FROZEN_DOUBLED_DIGEST
+
+
+def test_pruning_reads_the_stabilizer_flat():
+    # On an even-size set, the W that the induced-IS and AI4 searches prune
+    # with is the flat stabilizer_flat builds; the coset leaders are the
+    # least point of each W-coset.
+    rng = random.Random(SEED + 14)
+    sets = [m for n in (4, 5) for m in _doubled(rng, n, 2)]
+    sets += [Matroid(6, _sparse_bits(rng, 6)) for _ in range(6)] + [ag(6), double(double(sag(4)))]
+    sets = [m for m in sets if m.size % 2 == 0]
+    assert any(stabilizer_flat(m).flat.dim == 0 for m in sets)
+    assert any(stabilizer_flat(m).flat.dim >= 2 for m in sets)
+    for m in sets:
+        wmask, leaders = detect._doubling_group(translates(m.bits, m.n), m.n)
+        assert wmask == stabilizer_flat(m).flat.members | 1
+        w = [v for v in range(1 << m.n) if (wmask >> v) & 1]
+        least = [v for v in range(1 << m.n) if all(v < v ^ u for u in w[1:])]
+        assert leaders == points_mask(least)
 
 
 def test_ai4_trivial_below_dim4():

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bmt.gf2 import (
     LinearMap,
@@ -21,6 +22,8 @@ from bmt.gf2 import (
     rank,
     rref,
     span_members,
+    translates,
+    xor_translate,
 )
 from oracles import (
     brute_canonical,
@@ -170,6 +173,25 @@ def test_random_invertible_map_seeding():
     c = random_invertible_map(5, random.Random(77))
     assert a.images == b.images == c.images
     assert a.is_invertible()
+
+
+@st.composite
+def _table_cases(draw):
+    # Any bit set over the 2^n positions (point 0 included), with the
+    # empty and full sets drawn on purpose.
+    n = draw(st.integers(1, 10))
+    full = (1 << (1 << n)) - 1
+    mask = draw(st.sampled_from((0, full)) | st.integers(0, full))
+    return mask, n
+
+
+@settings(max_examples=30, deadline=None)
+@given(_table_cases())
+def test_translates_matches_xor_translate(case):
+    mask, n = case
+    table = translates(mask, n)
+    assert len(table) == 1 << n
+    assert all(table[v] == xor_translate(mask, v) for v in range(1 << n))
 
 
 def test_canonical_form_bits_exhaustive_dim3():
