@@ -169,9 +169,11 @@ class Certificate:
 
 
 def certificate_from_json(text: str) -> Certificate:
+    # Besides JSONDecodeError, json.loads raises ValueError on an integer
+    # past the int-to-string digit limit and RecursionError on deep nesting.
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"bad certificate JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise FormatError("certificate must be a JSON object")

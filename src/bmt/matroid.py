@@ -90,6 +90,9 @@ def canonical_form(m: Matroid) -> tuple[Matroid, LinearMap]:
     return Matroid(m.n, bits), g
 
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
 def parse_bmat(text: str) -> Matroid:
     """Parse the two line matroid format.
 
@@ -129,10 +132,10 @@ def parse_bmat(text: str) -> Matroid:
         payload = body[len("bits="):]
         if not payload:
             raise FormatError("empty bits payload")
-        try:
-            bits = int(payload[::-1], 16)
-        except ValueError:
-            raise FormatError(f"bad hex payload: {payload!r}") from None
+        # int() alone would also take a sign, spaces and underscores.
+        if not set(payload) <= _HEX_DIGITS:
+            raise FormatError(f"bad hex payload: {payload!r}")
+        bits = int(payload[::-1], 16)
         if bits & 1:
             raise FormatError("zero is never an element")
         if bits >= (1 << (1 << n)):

@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bmt import (
     Certificate,
@@ -28,6 +29,7 @@ from bmt import (
     units,
     xor_translate,
 )
+from bmt.construct import STEP_OPS
 from bmt.gf2 import identity_map, random_invertible_map
 from oracles import parity, random_affine_bits, random_bits
 
@@ -192,6 +194,52 @@ def test_certificate_from_json_errors():
         certificate_from_json("not json")
     with pytest.raises(FormatError):
         certificate_from_json("{}")
+
+
+def test_certificate_from_json_decoder_errors():
+    # json.loads raises ValueError past the int digit limit and
+    # RecursionError on deep nesting, not JSONDecodeError.
+    for text in ("[" * 100_000, "[" + "1" * 5000 + "]"):
+        with pytest.raises(FormatError):
+            certificate_from_json(text)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _certificate_docs(draw):
+    # Documents shaped like certificates with any field swapped for other
+    # JSON; the dimension stays small so replay is quick.
+    base = draw(st.fixed_dictionaries(
+        {"kind": st.sampled_from(("onedim", "sag", "other")) | _JSON},
+        optional={
+            "n": st.integers(-1, 6) | _JSON,
+            "points": st.lists(st.sampled_from((0, 1, 1.0, True, 2)), max_size=2) | _JSON,
+        },
+    ))
+    doc = draw(st.fixed_dictionaries({}, optional={
+        "base": st.just(base) | _JSON,
+        "steps": st.lists(st.sampled_from(sorted(STEP_OPS) + ["bogus"]), max_size=6) | _JSON,
+        "map": st.lists(st.integers(-1, 1 << 9), max_size=10) | _JSON,
+    }))
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_certificate_docs() | _JSON.map(json.dumps) | st.text(max_size=30))
+def test_certificate_from_json_fuzz_gives_certificate_or_format_error(text):
+    try:
+        cert = certificate_from_json(text)
+        m = cert.replay()
+    except FormatError:
+        return
+    assert certificate_from_json(cert.to_json()) == cert
+    assert isinstance(m, Matroid)
 
 
 def test_certificate_base_validation():

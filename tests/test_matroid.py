@@ -145,6 +145,40 @@ def test_parse_bmat_errors():
             parse_bmat(text)
 
 
+def test_parse_bmat_bits_take_hex_digits_only():
+    # int(payload, 16) alone reads a sign, spaces and underscores; the
+    # payload is reversed first, so "25e6-" would become -0x6e52.
+    for payload in ("25e6-", "2+", "+2", "-2", " 2", "2 ", "2_2", "0x2", "x02", "\u0663"):
+        with pytest.raises(FormatError):
+            parse_bmat(f"BMAT1 dim=2\nbits={payload}")
+    assert parse_bmat("BMAT1 dim=3\nbits=0A").points == (5, 7)
+
+
+@st.composite
+def _bmat_texts(draw):
+    # Near-misses of the format as well as arbitrary text.
+    head = draw(st.sampled_from(("BMAT1 dim=", "BMAT1 dim=", "BMAT2 dim=", "")))
+    head += draw(st.sampled_from(("2", "3", "5", "16", "17", "-1", " 3")) | st.text(max_size=3))
+    body = draw(st.sampled_from(("bits=", "points=", "")))
+    digits = draw(st.text("0123456789abcdefAB", max_size=8))
+    # One stray character at either end, at any other place, or none.
+    at = draw(st.sampled_from((0, len(digits))) | st.integers(0, len(digits)))
+    stray = draw(st.sampled_from(("", "+", "-", "_", "x", ".", "\t")) | st.text(max_size=1))
+    body += digits[:at] + stray + digits[at:]
+    tail = draw(st.sampled_from(("", "\n", "\n\n", "\nx")))
+    return head + "\n" + body + tail
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bmat_texts() | st.text(max_size=40))
+def test_parse_bmat_fuzz_gives_matroid_or_format_error(text):
+    try:
+        m = parse_bmat(text)
+    except FormatError:
+        return
+    assert parse_bmat(serialize_bmat(m, form="bits")) == m
+
+
 def test_serialize_unknown_form():
     with pytest.raises(ValueError):
         serialize_bmat(Matroid(2, 0), form="csv")
