@@ -16,6 +16,7 @@ from .gf2 import (
     EMPTY_FLAT,
     Flat,
     LinearMap,
+    Translates,
     closure,
     coset_leaders,
     functional_kernel,
@@ -25,8 +26,6 @@ from .gf2 import (
     rank,
     rref,
     span_members,
-    stabilizer,
-    translates,
 )
 from .construct import sag
 from .matroid import Matroid, affine_witness, apply_map, is_affine, xor_translate
@@ -165,12 +164,12 @@ def _first_quad(m: Matroid, avoid: str) -> tuple[int, ...] | None:
     return tuple(table["quads"][4 * i : 4 * i + 4]) or None
 
 
-def _doubling_group(t: list[int], n: int) -> tuple[int, int]:
-    # W = {w : E + w = E} read from E's translates table, as a point set
-    # with 0, and the least point of each W-coset.  Every map
-    # x -> x + L(x), with L linear into W and zero on W, fixes E.
-    stab = stabilizer(t)
-    return points_mask(stab), coset_leaders(rref(stab), n)
+def _doubling_group(t: Translates) -> tuple[int, int]:
+    # W = {w : E + w = E} read from E's translates, as a point set with 0,
+    # and the least point of each W-coset.  Every map x -> x + L(x), with
+    # L linear into W and zero on W, fixes E.
+    stab = t.stabilizer()
+    return points_mask(stab), coset_leaders(rref(stab), t.n)
 
 
 def find_induced_is(m: Matroid, s: int) -> Witness | None:
@@ -197,8 +196,8 @@ def find_induced_is(m: Matroid, s: int) -> Witness | None:
     if s == 4 and m.n in _TABLE_DIMS:
         quad = _first_quad(m, "span")
         return Witness("induced_is", quad, 4) if quad else None
-    t = translates(m.bits, m.n)
-    _, leaders = _doubling_group(t, m.n)
+    t = m.translates
+    _, leaders = _doubling_group(t)
     chosen: list[int] = []
 
     # allowed: the elements above the last choice that may join; span:
@@ -248,8 +247,8 @@ def find_ai4_violation(m: Matroid) -> Witness | None:
     if m.n in _TABLE_DIMS:
         quad = _first_quad(m, "trip")
         return Witness("ai4_violation", quad) if quad else None
-    t = translates(m.bits, m.n)
-    wmask, leaders = _doubling_group(t, m.n)
+    t = m.translates
+    wmask, leaders = _doubling_group(t)
     chosen: list[int] = []
 
     # Choosing x after p1 (and p2) drops the candidates y that would put
@@ -315,21 +314,20 @@ def find_induced_odd_circuit(m: Matroid, kmax: int | None = None) -> Witness | N
         kmax = max(kmax, 3)
     if kmax % 2 == 0 or kmax < 3:
         raise ValueError(f"kmax must be odd and at least 3, got {kmax}")
-    t = translates(m.bits, n)
     for k in range(3, kmax + 1, 2):
-        w = _circuit_search(m, t, k)
+        w = _circuit_search(m, k)
         if w is not None:
             return w
     return None
 
 
-def _circuit_search(m: Matroid, t: list[int], k: int) -> Witness | None:
+def _circuit_search(m: Matroid, k: int) -> Witness | None:
     # Choose k-2 elements as find_induced_is does, then a last one x whose
     # new span points x + span* hold exactly one element, x ^ xorsum,
-    # which closes the circuit.  t is E's translates table.  The visit
-    # order is not lex order over the sorted witness, so the pruning of
-    # find_induced_is does not apply.
+    # which closes the circuit.  The visit order is not lex order over the
+    # sorted witness, so the pruning of find_induced_is does not apply.
     e = m.bits
+    t = m.translates
     chosen: list[int] = []
 
     def rec(allowed: int, reach: int, spanmask: int, xorsum: int) -> int | None:
@@ -420,7 +418,7 @@ def _largest_flat_dim(allowed: int, forbidden: int, n: int) -> int:
 
 def find_doubling_element(m: Matroid) -> tuple[int, Flat] | None:
     """Least nonelement w with w + E = E, plus a hyperplane missing w."""
-    stab = stabilizer(translates(m.bits, m.n))
+    stab = m.translates.stabilizer()
     if len(stab) == 1:
         return None
     w = stab[1]
@@ -459,7 +457,7 @@ def recognize_sag(m: Matroid) -> tuple[int, LinearMap] | None:
     if closure(m.points, n).dim != n:
         return None
     pts = m.points
-    t = translates(m.bits, n)
+    t = m.translates
     for i, a in enumerate(pts):
         for b in pts[i + 1:]:
             y = a ^ b
@@ -468,11 +466,11 @@ def recognize_sag(m: Matroid) -> tuple[int, LinearMap] | None:
             # (E - a - b) + y, with a + y = b and b + y = a.
             fmask = t[y] ^ (1 << a) ^ (1 << b)
             # A flat is fixed by translation by any of its points; most
-            # pairs fail this before the elimination below.  The test
-            # reads (fmask + 0) + least from the table as well.
+            # pairs fail this before the elimination below.  fmask | 1
+            # moved by least is t[y ^ least] with a, b and 0 moved too.
             least = (fmask & -fmask).bit_length() - 1
-            moved = t[y ^ least] ^ (1 << (a ^ least)) ^ (1 << (b ^ least))
-            if moved ^ (1 << least) != fmask | 1:
+            moved = t[y ^ least] ^ (1 << (a ^ least)) ^ (1 << (b ^ least)) ^ (1 << least)
+            if moved != fmask | 1:
                 continue
             fbasis = rref(mask_points(fmask))
             if len(fbasis) != n - 2 or span_members(fbasis) != fmask:

@@ -48,26 +48,40 @@ def xor_translate(mask: int, x: int) -> int:
     return mask
 
 
-def translates(mask: int, n: int) -> list[int]:
-    """All translates of a point set: entry v is xor_translate(mask, v).
+class Translates(dict):
+    """The translates of a point set E of GF(2)^n: entry v is E + v,
+    xor_translate(E, v).
 
-    Built by doubling: the second half of the first 2^(i+1) entries is
-    the first half under one delta swap by 2^i.  The table holds 2^n
-    sets of 2^n bits each.
+    An entry is made on first use from entry v - 2^i, 2^i the top bit of
+    v, by one delta swap, so a search builds only the translates it
+    reads.  All 2^n of them take 2^(2n-3) bytes, 512 MB at MAX_DIM.
     """
-    table = [mask]
-    for i in range(n):
+
+    __slots__ = ("n",)
+
+    def __init__(self, mask: int, n: int) -> None:
+        super().__init__(((0, mask),))
+        self.n = n
+
+    def __missing__(self, v: int) -> int:
+        i = v.bit_length() - 1
         s = 1 << i
+        t = self[v ^ s]
         low = _LOW[i]
-        table += [((t >> s) & low) | ((t & low) << s) for t in table]
-    return table
+        self[v] = out = ((t >> s) & low) | ((t & low) << s)
+        return out
 
+    def stabilizer(self) -> list[int]:
+        """The v with E + v = E, ascending and 0 first.
 
-def stabilizer(table: list[int]) -> list[int]:
-    """The v, ascending and 0 first, whose translate in a translates()
-    table is the set itself."""
-    mask = table[0]
-    return [v for v, t in enumerate(table) if t == mask]
+        Each such v carries the least point of E onto a point of E, so
+        only those |E| sums are read.
+        """
+        mask = self[0]
+        if not mask:
+            return list(range(1 << self.n))
+        low = (mask & -mask).bit_length() - 1
+        return sorted(v for v in (p ^ low for p in mask_points(mask)) if self[v] == mask)
 
 
 def coset_leaders(basis: Iterable[int], n: int) -> int:

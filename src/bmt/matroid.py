@@ -17,14 +17,13 @@ from .gf2 import (
     MAX_DIM,
     Flat,
     LinearMap,
+    Translates,
     canonical_form_bits,
     closure,
     identity_map,
     linear_system_solve,
     mask_points,
     rref,
-    stabilizer,
-    translates,
     xor_translate,
 )
 
@@ -47,6 +46,12 @@ class Matroid:
     @cached_property
     def points(self) -> tuple[int, ...]:
         return tuple(mask_points(self.bits))
+
+    @cached_property
+    def translates(self) -> Translates:
+        """E + v for each v, each made on first use and kept; the searches
+        in detect share it."""
+        return Translates(self.bits, self.n)
 
     @property
     def size(self) -> int:
@@ -246,7 +251,7 @@ def stabilizer_flat(m: Matroid) -> StabilizerResult:
     n = m.n
     full = (1 << (1 << n)) - 2
     target = m.bits if m.size % 2 == 0 else m.bits ^ full
-    stab = stabilizer(translates(target, n))
+    stab = Translates(target, n).stabilizer()
     if len(stab) & (len(stab) - 1):
         raise TheoremViolation("stabilizer is not a subspace")
     members = 0

@@ -29,7 +29,7 @@ from bmt import (
     units,
     xor_translate,
 )
-from bmt.gf2 import points_mask, random_invertible_map, translates
+from bmt.gf2 import Translates, points_mask, random_invertible_map
 from oracles import (
     brute_affine_w,
     brute_ai4_violation,
@@ -260,7 +260,7 @@ def test_pruning_reads_the_stabilizer_flat():
     assert any(stabilizer_flat(m).flat.dim == 0 for m in sets)
     assert any(stabilizer_flat(m).flat.dim >= 2 for m in sets)
     for m in sets:
-        wmask, leaders = detect._doubling_group(translates(m.bits, m.n), m.n)
+        wmask, leaders = detect._doubling_group(Translates(m.bits, m.n))
         assert wmask == stabilizer_flat(m).flat.members | 1
         w = [v for v in range(1 << m.n) if (wmask >> v) & 1]
         least = [v for v in range(1 << m.n) if all(v < v ^ u for u in w[1:])]

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bmt.gf2 import (
     LinearMap,
+    Translates,
     canonical_form_bits,
     closure,
     compose,
@@ -22,7 +23,6 @@ from bmt.gf2 import (
     rank,
     rref,
     span_members,
-    translates,
     xor_translate,
 )
 from oracles import (
@@ -178,20 +178,27 @@ def test_random_invertible_map_seeding():
 @st.composite
 def _table_cases(draw):
     # Any bit set over the 2^n positions (point 0 included), with the
-    # empty and full sets drawn on purpose.
+    # empty and full sets drawn on purpose, and half of the others
+    # doubled so that E + 2^(n-1) = E.
     n = draw(st.integers(1, 10))
     full = (1 << (1 << n)) - 1
     mask = draw(st.sampled_from((0, full)) | st.integers(0, full))
+    if n > 1 and draw(st.booleans()):
+        half = 1 << (n - 1)
+        mask &= (1 << half) - 1
+        mask |= mask << half
     return mask, n
 
 
 @settings(max_examples=30, deadline=None)
 @given(_table_cases())
-def test_translates_matches_xor_translate(case):
+def test_translates_match_xor_translate(case):
     mask, n = case
-    table = translates(mask, n)
+    table = Translates(mask, n)
+    want = [xor_translate(mask, v) for v in range(1 << n)]
+    assert table.stabilizer() == [v for v in range(1 << n) if want[v] == mask]
+    assert [table[v] for v in range(1 << n)] == want
     assert len(table) == 1 << n
-    assert all(table[v] == xor_translate(mask, v) for v in range(1 << n))
 
 
 def test_canonical_form_bits_exhaustive_dim3():
