@@ -168,8 +168,8 @@ def _doubling_group(t: Translates) -> tuple[int, int]:
     # W = {w : E + w = E} read from E's translates, as a point set with 0,
     # and the least point of each W-coset.  Every map x -> x + L(x), with
     # L linear into W and zero on W, fixes E.
-    stab = t.stabilizer()
-    return points_mask(stab), coset_leaders(rref(stab), t.n)
+    wmask = t.stabilizer()
+    return wmask, coset_leaders(rref(mask_points(wmask ^ 1)), t.n)
 
 
 def find_induced_is(m: Matroid, s: int) -> Witness | None:
@@ -418,10 +418,10 @@ def _largest_flat_dim(allowed: int, forbidden: int, n: int) -> int:
 
 def find_doubling_element(m: Matroid) -> tuple[int, Flat] | None:
     """Least nonelement w with w + E = E, plus a hyperplane missing w."""
-    stab = m.translates.stabilizer()
-    if len(stab) == 1:
+    ws = m.translates.stabilizer() & ~1
+    if not ws:
         return None
-    w = stab[1]
+    w = (ws & -ws).bit_length() - 1
     return w, functional_kernel(w & -w, m.n)
 
 

@@ -71,17 +71,22 @@ class Translates(dict):
         self[v] = out = ((t >> s) & low) | ((t & low) << s)
         return out
 
-    def stabilizer(self) -> list[int]:
-        """The v with E + v = E, ascending and 0 first.
+    def stabilizer(self) -> int:
+        """Point set of W = {w : E + w = E}, 0 included.
 
-        Each such v carries the least point of E onto a point of E, so
-        only those |E| sums are read.
+        w is in W exactly when e + w is on E for every point e of E, that
+        is when w is in every E + e; the scan stops once only 0 is left.
+        A w != 0 in W pairs the points of E, so an odd E has W = {0}.
         """
         mask = self[0]
-        if not mask:
-            return list(range(1 << self.n))
-        low = (mask & -mask).bit_length() - 1
-        return sorted(v for v in (p ^ low for p in mask_points(mask)) if self[v] == mask)
+        if mask.bit_count() & 1:
+            return 1
+        acc = (1 << (1 << self.n)) - 1
+        while mask and acc != 1:
+            low = mask & -mask
+            mask ^= low
+            acc &= self[low.bit_length() - 1]
+        return acc
 
 
 def coset_leaders(basis: Iterable[int], n: int) -> int:

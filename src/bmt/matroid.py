@@ -251,7 +251,7 @@ def stabilizer_flat(m: Matroid) -> StabilizerResult:
     n = m.n
     full = (1 << (1 << n)) - 2
     target = m.bits if m.size % 2 == 0 else m.bits ^ full
-    stab = Translates(target, n).stabilizer()
+    stab = mask_points(Translates(target, n).stabilizer())
     if len(stab) & (len(stab) - 1):
         raise TheoremViolation("stabilizer is not a subspace")
     members = 0

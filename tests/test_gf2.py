@@ -196,7 +196,7 @@ def test_translates_match_xor_translate(case):
     mask, n = case
     table = Translates(mask, n)
     want = [xor_translate(mask, v) for v in range(1 << n)]
-    assert table.stabilizer() == [v for v in range(1 << n) if want[v] == mask]
+    assert table.stabilizer() == points_mask(v for v in range(1 << n) if want[v] == mask)
     assert [table[v] for v in range(1 << n)] == want
     assert len(table) == 1 << n
 
