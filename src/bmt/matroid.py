@@ -251,13 +251,11 @@ def stabilizer_flat(m: Matroid) -> StabilizerResult:
     n = m.n
     full = (1 << (1 << n)) - 2
     target = m.bits if m.size % 2 == 0 else m.bits ^ full
-    stab = mask_points(Translates(target, n).stabilizer())
-    if len(stab) & (len(stab) - 1):
+    stab = Translates(target, n).stabilizer()
+    if stab.bit_count() & (stab.bit_count() - 1):
         raise TheoremViolation("stabilizer is not a subspace")
-    members = 0
-    for s in stab[1:]:
-        members |= 1 << s
-    basis = rref(stab)
+    members = stab ^ 1
+    basis = rref(mask_points(members))
     flat = Flat(len(basis), basis, members) if members else EMPTY_FLAT
 
     outside = full ^ members
@@ -265,13 +263,13 @@ def stabilizer_flat(m: Matroid) -> StabilizerResult:
         raise TheoremViolation("cross sums do not match the stabilizer flat")
 
     tile = m.bits if m.size % 2 == 0 else m.bits | 1
-    reps = []
+    translates = []
     remaining = tile
     while remaining:
         t = (remaining & -remaining).bit_length() - 1
         coset = xor_translate(members | 1, t)
         if coset & tile != coset:
             raise TheoremViolation("elements are not a union of cosets")
-        reps.append(t)
+        translates.append(t)
         remaining &= ~coset
-    return StabilizerResult(flat, tuple(reps))
+    return StabilizerResult(flat, tuple(translates))
