@@ -181,12 +181,13 @@ def find_induced_is(m: Matroid, s: int) -> Witness | None:
     choices; E + v is entry v of E's translates table.
 
     Each choice but the last is the least point of its coset of
-    W = {w : E + w = E}.  Take a candidate x off span + W.  Some map
-    x -> x + L(x), L linear into W and zero on W and on the choices,
-    fixes E and the choices and carries x to any point of x + W, so each
-    witness through x has a lex smaller image unless x is the least
-    point there.  A candidate x on span + W is a choice c plus some
-    w != 0 in W, and no witness goes through it: a later element z puts
+    W = {w : E + w = E}, and the least witness is still found first.
+    Take a candidate x off span + W.  Some map x -> x + L(x), L linear
+    into W and zero on W and on the choices, fixes E and the choices and
+    carries x to any point of x + W, so unless x is the least point
+    there, each witness through x has a lex smaller image that is also a
+    witness.  A candidate x on span + W is a choice c plus some w != 0
+    in W, and no witness goes through it: a later element z puts
     z + w = z + c + x in the span and on E, so the set would be closed
     under + w, and such a set of three or more elements is dependent.
     With W = {0} every candidate is a least point.
