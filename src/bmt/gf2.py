@@ -64,11 +64,8 @@ class Translates(dict):
         self.n = n
 
     def __missing__(self, v: int) -> int:
-        i = v.bit_length() - 1
-        s = 1 << i
-        t = self[v ^ s]
-        low = _LOW[i]
-        self[v] = out = ((t >> s) & low) | ((t & low) << s)
+        s = 1 << (v.bit_length() - 1)
+        self[v] = out = xor_translate(self[v ^ s], s)
         return out
 
     def stabilizer(self) -> int:
