@@ -8,6 +8,7 @@ whole gate runs each computation once.
 from functools import lru_cache
 
 from bmt.selftest import (
+    CRITERIA,
     check_affine_characterization,
     check_alpha_beta_ledger,
     check_census_counts,
@@ -95,3 +96,23 @@ def test_selftest_report_aggregates_all_criteria():
         line = res.line()
         assert line.startswith("pass")
         assert res.name in line
+
+
+# (name, passed, detail) of each full-level row, frozen from the code
+# before the checks shared one timing harness and one point-set sweep.
+FROZEN_FULL_ROWS = [
+    ("census_counts", True, "dims 4..8 classes [1, 2, 3, 4, 5] want [1, 2, 3, 4, 5]"),
+    ("exhaustive_equivalence", True, "dim 4: 32768 subsets, 0 discrepancies"),
+    ("chi_bound", True, "3282 members checked"),
+    ("affine_characterization", True, "32906 subsets checked"),
+    ("special_hyperplane", True, "6468 AI4-free inputs, zero exhaustion errors"),
+    ("stabilizer_clauses", True, "1138 matroids checked"),
+    ("preservation", True, "2x200 inputs"),
+    ("alpha_beta_ledger", True, "200 inputs per clause, 138 round-trips"),
+    ("sag_properties", True, "n in 3..8"),
+]
+
+
+def test_full_rows_frozen():
+    rows = [(r.name, r.passed, r.detail) for r in map(_run, CRITERIA)]
+    assert rows == FROZEN_FULL_ROWS

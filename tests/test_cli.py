@@ -310,6 +310,21 @@ def test_unexpected_exception_is_internal_error(c5_file, monkeypatch, capsys):
     assert out.err == "internal error: KeyError: 'lost point'\n"
 
 
+# (name, passed, detail) of each quick selftest row, frozen from the code
+# before the checks shared one timing harness and one point-set sweep.
+FROZEN_QUICK_ROWS = [
+    ["census_counts", True, "dims 4..6 classes [1, 2, 3] want [1, 2, 3]"],
+    ["exhaustive_equivalence", True, "dim 3: 128 subsets, 0 discrepancies"],
+    ["chi_bound", True, "193 members checked"],
+    ["affine_characterization", True, "138 subsets checked"],
+    ["special_hyperplane", True, "236 AI4-free inputs, zero exhaustion errors"],
+    ["stabilizer_clauses", True, "338 matroids checked"],
+    ["preservation", True, "2x50 inputs"],
+    ["alpha_beta_ledger", True, "50 inputs per clause, 138 round-trips"],
+    ["sag_properties", True, "n in 3..6"],
+]
+
+
 def test_selftest_quick(capsys):
     assert main(["selftest", "--level", "quick"]) == 0
     out = capsys.readouterr().out
@@ -318,6 +333,8 @@ def test_selftest_quick(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is True
     assert len(doc["checks"]) == 9
+    rows = [[c["name"], c["passed"], c["detail"]] for c in doc["checks"]]
+    assert rows == FROZEN_QUICK_ROWS
 
 
 def test_selftest_reports_theorem_violation_as_fail(monkeypatch, capsys):

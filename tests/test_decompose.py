@@ -1,5 +1,6 @@
 """Structure decomposition: special hyperplanes, stripping, certificates."""
 
+import hashlib
 import random
 
 import pytest
@@ -287,3 +288,48 @@ def test_decompose_ai4_random_members_dim5():
         assert cert.replay() == m
         # Peeling uses the four layer operations only.
         assert all(s in ("alpha0", "alpha1", "beta0", "beta1") for s in cert.steps)
+
+# sha256 of the outputs of both decomposers on _frozen_inputs(), one
+# record per input, joined by ";".  Frozen from the code before the flat
+# restriction and the basis completion each moved into one helper.
+FROZEN_DECOMPOSE_DIGEST = "41ad8a92eaf966fe84ddf30701ca3ac2abf7e71b26a0b6104cc3e71deb6db5e2"
+
+
+def _frozen_inputs():
+    rng = random.Random(SEED + 7)
+    out = [Matroid(n, bits) for n in (1, 2, 3) for bits in range(0, 1 << (1 << n), 2)]
+    for n in (4, 5, 6, 7):
+        for tag in ("i4tf_affine", "i4tf_nonaffine", "ai4"):
+            out += random_members(n, 2, SEED + n, tag)
+    # Members placed one or two dimensions up and relabeled: the only
+    # inputs whose decomposition completes a rank-deficient basis.
+    for n in (2, 3, 4, 5):
+        for tag in ("i4tf_affine", "ai4"):
+            for m in random_members(n, 2, SEED + 8, tag):
+                for up in (1, 2):
+                    big = Matroid(n + up, m.bits)
+                    out.append(apply_map(random_invertible_map(big.n, rng), big))
+    return out
+
+
+def _outcome_record(out):
+    if isinstance(out, NotMember):
+        w = out.witness
+        return f"{w.kind}:{w.points}:{w.param}"
+    if isinstance(out, Witness):
+        return f"{out.kind}:{out.points}:{out.param}"
+    cert = getattr(out, "certificate", out)
+    return f"{type(out).__name__}:{cert.to_json()}"
+
+
+def test_decompose_outputs_frozen():
+    parts = []
+    for m in _frozen_inputs():
+        res = decompose_i4tf(m)
+        r = res.restriction
+        parts.append(
+            f"{_outcome_record(res.outcome)}|{r.matroid.n}:{r.matroid.bits}:"
+            f"{r.embed.images}:{r.rank_deficient}|{_outcome_record(decompose_ai4(m))}"
+        )
+    digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
+    assert digest == FROZEN_DECOMPOSE_DIGEST
