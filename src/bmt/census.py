@@ -18,6 +18,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .construct import STEP_OPS, Certificate, sag
 from .decompose import AffineChain, NotMember, decompose_i4tf
@@ -209,6 +210,13 @@ class CrosscheckReport:
         return "\n".join(lines)
 
 
+def point_sets(dims: Iterable[int]) -> Iterator[Matroid]:
+    """Every point set of PG(d-1, 2) for each d in dims, in ascending bits."""
+    for d in dims:
+        for idx in range(1 << ((1 << d) - 1)):
+            yield Matroid(d, idx << 1)
+
+
 def exhaustive_crosscheck(dim: int) -> CrosscheckReport:
     """Sweep every subset at dim <= 4: membership by detectors vs decomposer.
 
@@ -226,10 +234,7 @@ def exhaustive_crosscheck(dim: int) -> CrosscheckReport:
     }
     labeled = {k: 0 for k in groups}
     bad: list[int] = []
-    npts = (1 << dim) - 1
-    for idx in range(1 << npts):
-        bits = idx << 1
-        m = Matroid(dim, bits)
+    for m in point_sets((dim,)):
         expect = i4tf_witness(m) is None
         try:
             res = decompose_i4tf(m)
@@ -242,7 +247,7 @@ def exhaustive_crosscheck(dim: int) -> CrosscheckReport:
         except TheoremViolation:
             got = None
         if got != expect:
-            bad.append(bits)
+            bad.append(m.bits)
             continue
         if expect:
             if is_affine(m):
@@ -257,7 +262,7 @@ def exhaustive_crosscheck(dim: int) -> CrosscheckReport:
         k: {"labeled": labeled[k], "iso_classes": len(groups[k])} for k in groups
     }
     return CrosscheckReport(
-        dim, 1 << npts, tuple(bad), tally, time.monotonic() - start
+        dim, 1 << ((1 << dim) - 1), tuple(bad), tally, time.monotonic() - start
     )
 
 

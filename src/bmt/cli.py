@@ -18,7 +18,7 @@ from typing import Callable
 
 from .census import CLASS_TAGS, enumerate_generated, random_members
 from .construct import certificate_from_json
-from .decompose import AffineChain, DoubledSag, NotMember, decompose_i4tf
+from .decompose import DoubledSag, NotMember, decompose_i4tf
 from .detect import (
     Witness,
     affine_witness,

@@ -185,7 +185,8 @@ def certificate_from_json(text: str) -> Certificate:
     kind = bobj["kind"]
     if kind == "onedim":
         pts = bobj.get("points")
-        if not isinstance(pts, list) or not all(p == 1 for p in pts):
+        # True and 1.0 compare equal to 1 but are no point.
+        if not isinstance(pts, list) or not all(type(p) is int and p == 1 for p in pts):
             raise FormatError("onedim base points must be a sublist of [1]")
         if len(pts) > 1:
             raise FormatError("duplicate base point")

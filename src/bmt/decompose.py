@@ -31,7 +31,6 @@ from .matroid import (
     Matroid,
     RestrictionResult,
     affine_witness,
-    flat_coordinates,
     induced_restriction,
     is_affine,
     restrict_to_closure,
@@ -175,10 +174,7 @@ def decompose_affine_step(m: Matroid) -> AffineStep:
     if m.bits & ~hpp.members != layer:
         raise TheoremViolation("removed layer does not match the case")
     inner, emb = induced_restriction(m, hpp)
-    km = 0
-    for q in range(1, 1 << inner.n):
-        if hprime.contains(emb.apply(q)):
-            km |= 1 << q
+    km = induced_restriction(Matroid(n, hprime.members), hpp)[0].bits
     func = hyperplane_functional(km, inner.n)
     return AffineStep("expand1", inner, emb, x, func)
 
@@ -214,6 +210,20 @@ def _align_images(
     return tuple(composed)
 
 
+def _extend_basis(vectors: list[int], count: int) -> tuple[int, ...]:
+    # Appends the least point off the span of vectors until it holds
+    # count of them.
+    have = span_members(vectors) | 1
+    p = 1
+    while len(vectors) < count:
+        while (have >> p) & 1:
+            p += 1
+        vectors.append(p)
+        if len(vectors) < count:
+            have |= xor_translate(have, p)
+    return tuple(vectors)
+
+
 def _affine_chain(
     m: Matroid,
 ) -> tuple[Matroid, tuple[str, ...], tuple[int, ...], Matroid]:
@@ -228,12 +238,8 @@ def _affine_chain(
     step = decompose_affine_step(m)
     base, steps0, images0, raw0 = _affine_chain(step.inner)
     if step.tag == "expand0":
-        lifted = tuple(step.embed.apply(p) for p in images0)
-        span = span_members(step.embed.images)
-        ext = 1
-        while (span >> ext) & 1:
-            ext += 1
-        return base, steps0 + ("expand0",), lifted + (ext,), expand0(raw0)
+        lifted = _extend_basis([step.embed.apply(p) for p in images0], m.n)
+        return base, steps0 + ("expand0",), lifted, expand0(raw0)
     aligned = _align_images(raw0, images0, step.witness_functional)
     lifted = tuple(step.embed.apply(p) for p in aligned)
     images = lifted + (step.new_point,)
@@ -315,15 +321,7 @@ def decompose_i4tf(m: Matroid) -> DecompositionResult:
         base, steps, images, _ = _affine_chain(core)
         if core.n < m.n:
             steps = steps + ("expand0",) * (m.n - core.n)
-            lifted = [rest.embed.apply(p) for p in images]
-            have = span_members(tuple(lifted))
-            for p in range(1, 1 << m.n):
-                if len(lifted) == m.n:
-                    break
-                if not (have >> p) & 1:
-                    lifted.append(p)
-                    have |= (1 << p) | xor_translate(have, p)
-            images = tuple(lifted)
+            images = _extend_basis([rest.embed.apply(p) for p in images], m.n)
         cert = Certificate(base, steps, LinearMap(m.n, m.n, images))
         if cert.replay() != m:
             raise TheoremViolation("expansion chain fails to replay")
@@ -352,11 +350,16 @@ def _translated_restriction(
     # Restriction carrying a translated point set that lies inside h.
     if shifted_bits & ~h.members:
         raise TheoremViolation("translated set escapes the hyperplane")
-    coords = flat_coordinates(h)
-    small = 0
-    for p in mask_points(shifted_bits):
-        small |= 1 << coords[p]
-    return Matroid(h.dim, small), LinearMap(h.dim, m.n, h.basis)
+    return induced_restriction(Matroid(m.n, shifted_bits), h)
+
+
+# The layer operation each special hyperplane case undoes.
+_LAYER_STEP = {
+    "e_subset_h": "alpha0",
+    "complement_subset_h": "alpha1",
+    "e_disjoint_h": "beta0",
+    "h_subset_e": "beta1",
+}
 
 
 def decompose_ai4(m: Matroid) -> Certificate | Witness:
@@ -372,37 +375,22 @@ def decompose_ai4(m: Matroid) -> Certificate | Witness:
     cur = m
     while cur.n > 1:
         sh = find_special_hyperplane(cur)
-        h = sh.flat
-        if sh.case == "e_subset_h":
-            inner, emb = induced_restriction(cur, h)
-            trail.append(("alpha0", emb, None))
-        elif sh.case == "complement_subset_h":
-            inner, emb = induced_restriction(cur, h)
-            trail.append(("alpha1", emb, None))
-        elif sh.case == "e_disjoint_h":
-            w0 = (cur.bits & -cur.bits).bit_length() - 1
-            shifted = xor_translate(cur.bits ^ (1 << w0), w0)
-            inner, emb = _translated_restriction(cur, h, shifted)
-            trail.append(("beta0", emb, w0))
+        tag = _LAYER_STEP[sh.case]
+        if tag.startswith("alpha"):
+            w0 = None
+            cur, emb = induced_restriction(cur, sh.flat)
         else:
-            off = cur.bits & ~h.members
+            # In the disjoint case off is all of E.
+            off = cur.bits & ~sh.flat.members
             w0 = (off & -off).bit_length() - 1
             shifted = xor_translate(off ^ (1 << w0), w0)
-            inner, emb = _translated_restriction(cur, h, shifted)
-            trail.append(("beta1", emb, w0))
-        cur = inner
+            cur, emb = _translated_restriction(cur, sh.flat, shifted)
+        trail.append((tag, emb, w0))
     steps: list[str] = []
     images: tuple[int, ...] = (1,)
     for tag, emb, w0 in reversed(trail):
-        lifted = tuple(emb.apply(p) for p in images)
-        if w0 is None:
-            span = span_members(emb.images)
-            ext = 1
-            while (span >> ext) & 1:
-                ext += 1
-            images = lifted + (ext,)
-        else:
-            images = lifted + (w0,)
+        lifted = [emb.apply(p) for p in images]
+        images = _extend_basis(lifted, len(lifted) + 1) if w0 is None else (*lifted, w0)
         steps.append(tag)
     cert = Certificate(cur, tuple(steps), LinearMap(m.n, m.n, images))
     if cert.replay() != m:

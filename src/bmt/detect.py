@@ -303,19 +303,13 @@ def i4tf_witness(m: Matroid) -> Witness | None:
     return find_induced_is(m, 4)
 
 
-def find_induced_odd_circuit(m: Matroid, kmax: int | None = None) -> Witness | None:
-    """Smallest induced odd circuit with at most kmax elements.
+def find_induced_odd_circuit(m: Matroid) -> Witness | None:
+    """Smallest induced odd circuit.
 
-    Default kmax is the largest odd number not exceeding n+1, which is as
-    far as an induced circuit can go in dimension n.
+    Sizes run over the odd k from 3 up to n + 1, which is as far as an
+    induced circuit can go in dimension n.
     """
-    n = m.n
-    if kmax is None:
-        kmax = n + 1 if (n + 1) % 2 else n
-        kmax = max(kmax, 3)
-    if kmax % 2 == 0 or kmax < 3:
-        raise ValueError(f"kmax must be odd and at least 3, got {kmax}")
-    for k in range(3, kmax + 1, 2):
+    for k in range(3, m.n + 2, 2):
         w = _circuit_search(m, k)
         if w is not None:
             return w
@@ -324,23 +318,26 @@ def find_induced_odd_circuit(m: Matroid, kmax: int | None = None) -> Witness | N
 
 def _circuit_search(m: Matroid, k: int) -> Witness | None:
     # Choose k-2 elements as find_induced_is does, then a last one x whose
-    # new span points x + span* hold exactly one element, x ^ xorsum,
-    # which closes the circuit.  The visit order is not lex order over the
-    # sorted witness, so the pruning of find_induced_is does not apply.
+    # translate of the span, 0 included, holds exactly two elements: x and
+    # x ^ xorsum, which closes the circuit.  The visit order is not lex
+    # order over the sorted witness, so the pruning of find_induced_is
+    # does not apply.
     e = m.bits
     t = m.translates
     chosen: list[int] = []
 
-    def rec(allowed: int, reach: int, spanmask: int, xorsum: int) -> int | None:
+    def rec(allowed: int, span: list[int], xorsum: int) -> int | None:
         depth = len(chosen)
         if depth == k - 2:
             top = chosen[-1] + 1
             cands = (e >> top << top) & t[xorsum]
+            spanmask = points_mask(span)
+            closed = 1 | 1 << xorsum
             while cands:
                 low = cands & -cands
                 cands ^= low
                 x = low.bit_length() - 1
-                if xor_translate(spanmask, x) & e == 1 << (xorsum ^ x):
+                if t[x] & spanmask == closed:
                     chosen.append(x)
                     return xorsum ^ x
             return None
@@ -348,16 +345,17 @@ def _circuit_search(m: Matroid, k: int) -> Witness | None:
             low = allowed & -allowed
             allowed ^= low
             x = low.bit_length() - 1
-            shifted = xor_translate(reach, x)
-            nspan = spanmask | low | xor_translate(spanmask, x)
+            excluded = 0
+            for v in span:
+                excluded |= t[v ^ x]
             chosen.append(x)
-            got = rec(allowed & ~shifted, reach | shifted, nspan, xorsum ^ x)
+            got = rec(allowed & ~excluded, span + [v ^ x for v in span], xorsum ^ x)
             if got is not None:
                 return got
             chosen.pop()
         return None
 
-    closing = rec(e, e, 0, 0)
+    closing = rec(e, [0], 0)
     if closing is None:
         return None
     return Witness("odd_circuit", tuple(sorted(chosen + [closing])), k)

@@ -109,6 +109,9 @@ def dot(w: int, x: int) -> int:
 
 def mask_points(mask: int) -> list[int]:
     """Set bits of mask, ascending."""
+    if mask < 0:
+        # mask & -mask never clears the sign: the loop would not end.
+        raise ValueError("a point set mask is never negative")
     out = []
     while mask:
         low = mask & -mask

@@ -98,6 +98,17 @@ def canonical_form(m: Matroid) -> tuple[Matroid, LinearMap]:
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
+def _decimal(tok: str) -> int | None:
+    # int() alone would also take a sign, spaces, underscores and
+    # non-ASCII digits; past its digit limit it raises ValueError.
+    if tok.isascii() and tok.isdigit():
+        try:
+            return int(tok)
+        except ValueError:
+            pass
+    return None
+
+
 def parse_bmat(text: str) -> Matroid:
     """Parse the two line matroid format.
 
@@ -112,10 +123,9 @@ def parse_bmat(text: str) -> Matroid:
     head = lines[0]
     if not head.startswith("BMAT1 dim="):
         raise FormatError(f"bad header: {head!r}")
-    try:
-        n = int(head[len("BMAT1 dim="):])
-    except ValueError:
-        raise FormatError(f"bad dimension in header: {head!r}") from None
+    n = _decimal(head[len("BMAT1 dim="):])
+    if n is None:
+        raise FormatError(f"bad dimension in header: {head!r}")
     if not 1 <= n <= MAX_DIM:
         raise FormatError(f"dimension must be between 1 and {MAX_DIM}")
     body = lines[1]
@@ -124,10 +134,9 @@ def parse_bmat(text: str) -> Matroid:
         bits = 0
         if payload:
             for tok in payload.split():
-                try:
-                    p = int(tok)
-                except ValueError:
-                    raise FormatError(f"bad point: {tok!r}") from None
+                p = _decimal(tok)
+                if p is None:
+                    raise FormatError(f"bad point: {tok!r}")
                 if not 1 <= p < (1 << n):
                     raise FormatError(f"point {p} out of range for dim {n}")
                 if (bits >> p) & 1:
@@ -175,26 +184,15 @@ def induced_restriction(m: Matroid, flat: Flat) -> tuple[Matroid, LinearMap]:
     """
     if flat.dim < 1:
         raise ValueError("need a flat of dimension at least 1")
-    embed = LinearMap(flat.dim, m.n, flat.basis)
+    # images[q] is the image of q; it doubles once per basis vector.
+    images = [0]
+    for b in flat.basis:
+        images += [p ^ b for p in images]
     bits = 0
-    for q in range(1, 1 << flat.dim):
-        if m.contains(embed.apply(q)):
+    for q, p in enumerate(images):
+        if (m.bits >> p) & 1:
             bits |= 1 << q
-    return Matroid(flat.dim, bits), embed
-
-
-def flat_coordinates(flat: Flat) -> dict[int, int]:
-    """Member point -> its coordinates over the flat's reduced basis."""
-    coords: dict[int, int] = {}
-    for q in range(1, 1 << flat.dim):
-        big = 0
-        qq = q
-        while qq:
-            low = qq & -qq
-            qq ^= low
-            big ^= flat.basis[low.bit_length() - 1]
-        coords[big] = q
-    return coords
+    return Matroid(flat.dim, bits), LinearMap(flat.dim, m.n, flat.basis)
 
 
 def restrict_to_closure(m: Matroid) -> RestrictionResult:

@@ -11,10 +11,13 @@ import json
 import random
 import time
 from dataclasses import dataclass
+from itertools import chain
+from typing import Callable, Iterable
 
 from .census import (
     enumerate_generated,
     exhaustive_crosscheck,
+    point_sets,
     random_members,
     walk_grammar,
 )
@@ -64,8 +67,9 @@ class CheckResult:
         return f"{mark}  {self.name:<26} {self.elapsed:>7.2f}s  {self.detail}"
 
 
-def _random_bits(rng: random.Random, n: int) -> int:
-    return rng.getrandbits((1 << n) - 1) << 1
+def _random_set(rng: random.Random, lo: int, hi: int) -> Matroid:
+    n = rng.randint(lo, hi)
+    return Matroid(n, rng.getrandbits((1 << n) - 1) << 1)
 
 
 def _random_affine(rng: random.Random, n: int) -> Matroid:
@@ -78,116 +82,99 @@ def _random_affine(rng: random.Random, n: int) -> Matroid:
     return Matroid(n, bits)
 
 
-def check_census_counts(level: str = "quick") -> CheckResult:
+def _check(fn):
+    """Turn fn(level) -> (passed, detail) into a check returning a timed
+    CheckResult named after fn; a TheoremViolation becomes a FAIL row."""
+    name = fn.__name__.removeprefix("check_")
+
+    @functools.wraps(fn)
+    def check(level: str = "quick") -> CheckResult:
+        start = time.monotonic()
+        try:
+            passed, detail = fn(level)
+        except TheoremViolation as exc:
+            passed, detail = False, f"theorem violation: {exc}"
+        return CheckResult(name, passed, detail, time.monotonic() - start)
+
+    return check
+
+
+def _sweep(
+    ms: Iterable[Matroid], holds: Callable[[Matroid], object]
+) -> tuple[int, Matroid | None]:
+    """How many of ms were tried, up to and including the first on which
+    holds fails, and that one (None when holds on all)."""
+    count = 0
+    for m in ms:
+        count += 1
+        if not holds(m):
+            return count, m
+    return count, None
+
+
+def _fails_on(bad: Matroid | None) -> str:
+    return "" if bad is None else f"; fails on {bad}"
+
+
+@_check
+def check_census_counts(level: str) -> tuple[bool, str]:
     """Nonaffine class census must report dim - 3 classes at each dim."""
-    start = time.monotonic()
     top = 8 if level == _FULL else 6
-    got = []
-    for dim in range(4, top + 1):
-        rep = enumerate_generated(dim, "i4tf_nonaffine")
-        got.append(rep.iso_classes)
-    want = [d - 3 for d in range(4, top + 1)]
-    return CheckResult(
-        "census_counts",
-        got == want,
-        f"dims 4..{top} classes {got} want {want}",
-        time.monotonic() - start,
-    )
+    dims = range(4, top + 1)
+    got = [enumerate_generated(d, "i4tf_nonaffine").iso_classes for d in dims]
+    want = [d - 3 for d in dims]
+    return got == want, f"dims 4..{top} classes {got} want {want}"
 
 
-def check_exhaustive_equivalence(level: str = "quick") -> CheckResult:
+@_check
+def check_exhaustive_equivalence(level: str) -> tuple[bool, str]:
     """Decomposer success must match detector membership on every subset."""
-    start = time.monotonic()
     dim = 4 if level == _FULL else 3
     rep = exhaustive_crosscheck(dim)
-    ok = rep.discrepancies == ()
-    return CheckResult(
-        "exhaustive_equivalence",
-        ok,
-        f"dim {dim}: {rep.subsets} subsets, {len(rep.discrepancies)} discrepancies",
-        time.monotonic() - start,
-    )
+    detail = f"dim {dim}: {rep.subsets} subsets, {len(rep.discrepancies)} discrepancies"
+    return rep.discrepancies == (), detail
 
 
-def check_chi_bound(level: str = "quick") -> CheckResult:
+@_check
+def check_chi_bound(level: str) -> tuple[bool, str]:
     """Every member has critical number at most 2."""
-    start = time.monotonic()
     top = 4 if level == _FULL else 3
-    checked = 0
-    bad = None
-    for dim in range(1, top + 1):
-        for idx in range(1 << ((1 << dim) - 1)):
-            m = Matroid(dim, idx << 1)
-            if i4tf_witness(m) is None:
-                checked += 1
-                if critical_number(m) > 2:
-                    bad = m
-                    break
-        if bad:
-            break
     dims = range(5, 10) if level == _FULL else range(5, 8)
     per = 100 if level == _FULL else 20
-    if bad is None:
-        for dim in dims:
-            for tag in ("i4tf_affine", "i4tf_nonaffine"):
-                for m in random_members(dim, per, 271, tag):
-                    checked += 1
-                    if critical_number(m) > 2:
-                        bad = m
-                        break
-    return CheckResult(
-        "chi_bound",
-        bad is None,
-        f"{checked} members checked" + ("" if bad is None else f"; fails on {bad}"),
-        time.monotonic() - start,
+    small = (m for m in point_sets(range(1, top + 1)) if i4tf_witness(m) is None)
+    drawn = (
+        m
+        for dim in dims
+        for tag in ("i4tf_affine", "i4tf_nonaffine")
+        for m in random_members(dim, per, 271, tag)
     )
+    checked, bad = _sweep(chain(small, drawn), lambda m: critical_number(m) <= 2)
+    return bad is None, f"{checked} members checked" + _fails_on(bad)
 
 
-def check_affine_characterization(level: str = "quick") -> CheckResult:
+@_check
+def check_affine_characterization(level: str) -> tuple[bool, str]:
     """Affineness must coincide with having no induced odd circuit."""
-    start = time.monotonic()
     top = 4 if level == _FULL else 3
-    checked = 0
-    bad = None
-    for dim in range(1, top + 1):
-        for idx in range(1 << ((1 << dim) - 1)):
-            m = Matroid(dim, idx << 1)
-            checked += 1
-            if is_affine(m) != (find_induced_odd_circuit(m) is None):
-                bad = m
-                break
-        if bad:
-            break
-    return CheckResult(
-        "affine_characterization",
-        bad is None,
-        f"{checked} subsets checked" + ("" if bad is None else f"; fails on {bad}"),
-        time.monotonic() - start,
+    checked, bad = _sweep(
+        point_sets(range(1, top + 1)),
+        lambda m: is_affine(m) == (find_induced_odd_circuit(m) is None),
     )
+    return bad is None, f"{checked} subsets checked" + _fails_on(bad)
 
 
-def check_special_hyperplane(level: str = "quick") -> CheckResult:
+@_check
+def check_special_hyperplane(level: str) -> tuple[bool, str]:
     """The hyperplane comparison must succeed on every AI4-free matroid."""
-    start = time.monotonic()
     top = 4 if level == _FULL else 3
     count = 500 if level == _FULL else 100
-    checked = 0
-    for dim in range(2, top + 1):
-        for idx in range(1 << ((1 << dim) - 1)):
-            m = Matroid(dim, idx << 1)
-            if find_ai4_violation(m) is None:
-                find_special_hyperplane(m)
-                checked += 1
-    for m in random_members(5, count, 547, "ai4"):
-        if m.n >= 2:
-            find_special_hyperplane(m)
-            checked += 1
-    return CheckResult(
-        "special_hyperplane",
-        True,
-        f"{checked} AI4-free inputs, zero exhaustion errors",
-        time.monotonic() - start,
+    small = (m for m in point_sets(range(2, top + 1)) if find_ai4_violation(m) is None)
+    # find_special_hyperplane returns a hyperplane, a nonempty tuple, or
+    # raises TheoremViolation on exhaustion.
+    checked, _ = _sweep(
+        chain(small, random_members(5, count, 547, "ai4")), find_special_hyperplane
     )
+    return True, f"{checked} AI4-free inputs, zero exhaustion errors"
 
 
 def _stabilizer_clauses(m: Matroid) -> bool:
@@ -204,51 +191,28 @@ def _stabilizer_clauses(m: Matroid) -> bool:
     return True
 
 
-def check_stabilizer_clauses(level: str = "quick") -> CheckResult:
+@_check
+def check_stabilizer_clauses(level: str) -> tuple[bool, str]:
     """Stabilizer flat must satisfy the cross-sum and self-sum clauses."""
-    start = time.monotonic()
     count = 1000 if level == _FULL else 200
-    checked = 0
-    bad = None
-    for dim in range(1, 4):
-        for idx in range(1 << ((1 << dim) - 1)):
-            m = Matroid(dim, idx << 1)
-            checked += 1
-            if not _stabilizer_clauses(m):
-                bad = m
-                break
-        if bad:
-            break
     rng = random.Random("stabilizer")
-    if bad is None:
-        for _ in range(count):
-            m = Matroid(rng.randint(1, 6), 0)
-            m = Matroid(m.n, _random_bits(rng, m.n))
-            checked += 1
-            if not _stabilizer_clauses(m):
-                bad = m
-                break
-    return CheckResult(
-        "stabilizer_clauses",
-        bad is None,
-        f"{checked} matroids checked" + ("" if bad is None else f"; fails on {bad}"),
-        time.monotonic() - start,
-    )
+    drawn = (_random_set(rng, 1, 6) for _ in range(count))
+    checked, bad = _sweep(chain(point_sets(range(1, 4)), drawn), _stabilizer_clauses)
+    return bad is None, f"{checked} matroids checked" + _fails_on(bad)
 
 
 def _is_free(m: Matroid, s: int) -> bool:
     return s > m.n or find_induced_is(m, s) is None
 
 
-def check_preservation(level: str = "quick") -> CheckResult:
+@_check
+def check_preservation(level: str) -> tuple[bool, str]:
     """Doubling and 1-expansion must preserve their stated properties."""
-    start = time.monotonic()
     count = 200 if level == _FULL else 50
     rng = random.Random("preservation")
     bad = None
     for _ in range(count):
-        n = rng.randint(1, 5)
-        m = Matroid(n, _random_bits(rng, n))
+        m = _random_set(rng, 1, 5)
         d = double(m)
         if critical_number(d) != critical_number(m):
             bad = ("chi", m)
@@ -270,12 +234,7 @@ def check_preservation(level: str = "quick") -> CheckResult:
             if any(_is_free(m, s) and not _is_free(e, s) for s in (4, 5)):
                 bad = ("independent-set", m)
                 break
-    return CheckResult(
-        "preservation",
-        bad is None,
-        f"2x{count} inputs" + ("" if bad is None else f"; fails {bad}"),
-        time.monotonic() - start,
-    )
+    return bad is None, f"2x{count} inputs" + ("" if bad is None else f"; fails {bad}")
 
 
 @functools.lru_cache(maxsize=8)
@@ -283,21 +242,17 @@ def _alpha_only_canon(dim: int) -> frozenset[int]:
     return frozenset(bits for _, bits in walk_grammar("ai4", dim, "B")[0])
 
 
-def check_alpha_beta_ledger(level: str = "quick") -> CheckResult:
+@_check
+def check_alpha_beta_ledger(level: str) -> tuple[bool, str]:
     """The eight construction clauses, plus exhaustive small round-trips."""
-    start = time.monotonic()
     count = 200 if level == _FULL else 50
     rng = random.Random("ledger")
     alphas = (alpha0, alpha1)
     betas = (beta0, beta1)
     fails: list[str] = []
 
-    def rnd(max_dim: int = 4) -> Matroid:
-        n = rng.randint(1, max_dim)
-        return Matroid(n, _random_bits(rng, n))
-
     for _ in range(count):
-        m = rnd()
+        m = _random_set(rng, 1, 4)
         free = find_ai4_violation(m) is None
         for g in alphas + betas:
             if find_ai4_violation(g(m)) is None and not free:
@@ -309,8 +264,7 @@ def check_alpha_beta_ledger(level: str = "quick") -> CheckResult:
                 fails.append("t3")
         if not _is_free(beta1(m), 3):
             fails.append("t6")
-        flat_set = m.bits == (closure(m.points, m.n).members if m.points else 0)
-        if not flat_set and _is_free(beta0(m), 3):
+        if m.bits != closure(m.points, m.n).members and _is_free(beta0(m), 3):
             fails.append("t7")
         if fails:
             break
@@ -321,9 +275,8 @@ def check_alpha_beta_ledger(level: str = "quick") -> CheckResult:
             steps = tuple(
                 rng.choice(("alpha0", "alpha1", "beta1")) for _ in range(n - 1)
             )
-            m = Certificate(
-                _pick_base(rng), steps, random_invertible_map(n, rng)
-            ).replay()
+            base = Matroid(1, 0) if rng.random() < 0.5 else Matroid(1, 2)
+            m = Certificate(base, steps, random_invertible_map(n, rng)).replay()
             if find_ai4_violation(m) is not None or not _is_free(m, 3):
                 fails.append("t4-precondition")
                 break
@@ -331,8 +284,7 @@ def check_alpha_beta_ledger(level: str = "quick") -> CheckResult:
                 if find_ai4_violation(g(m)) is not None:
                     fails.append("t4")
             while True:
-                cand = Matroid(rng.randint(3, 4), 0)
-                cand = Matroid(cand.n, _random_bits(rng, cand.n))
+                cand = _random_set(rng, 3, 4)
                 if not _is_free(cand, 3):
                     break
             for g in betas:
@@ -345,41 +297,29 @@ def check_alpha_beta_ledger(level: str = "quick") -> CheckResult:
         for _ in range(count):
             n = rng.randint(1, 4)
             pts = [rng.randrange(1, 1 << n) for _ in range(rng.randint(0, n))]
-            bits = closure(tuple(pts), n).members if pts else 0
-            m = Matroid(n, bits)
-            img = beta0(m)
+            img = beta0(Matroid(n, closure(pts, n).members))
             if canonical_form(img)[0].bits not in _alpha_only_canon(img.n):
                 fails.append("t8")
                 break
 
     roundtrips = 0
     if not fails:
-        for dim in (1, 2, 3):
-            for idx in range(1 << ((1 << dim) - 1)):
-                m = Matroid(dim, idx << 1)
-                if decompose_ai4(m).replay() != m:
-                    fails.append("roundtrip")
-                    break
-                roundtrips += 1
-            if fails:
-                break
+        roundtrips, bad = _sweep(
+            point_sets((1, 2, 3)), lambda m: decompose_ai4(m).replay() == m
+        )
+        if bad is not None:
+            roundtrips -= 1
+            fails.append("roundtrip")
 
-    return CheckResult(
-        "alpha_beta_ledger",
-        not fails,
+    return not fails, (
         f"{count} inputs per clause, {roundtrips} round-trips"
-        + ("" if not fails else f"; fails {sorted(set(fails))}"),
-        time.monotonic() - start,
+        + ("" if not fails else f"; fails {sorted(set(fails))}")
     )
 
 
-def _pick_base(rng: random.Random) -> Matroid:
-    return Matroid(1, 0) if rng.random() < 0.5 else Matroid(1, 2)
-
-
-def check_sag_properties(level: str = "quick") -> CheckResult:
+@_check
+def check_sag_properties(level: str) -> tuple[bool, str]:
     """Series extended affine geometries: size, freeness, chi, recognition."""
-    start = time.monotonic()
     top = 8 if level == _FULL else 6
     bad = None
     for n in range(3, top + 1):
@@ -397,12 +337,7 @@ def check_sag_properties(level: str = "quick") -> CheckResult:
         if rec is None or rec[0] != n or apply_map(rec[1], sag(n)) != m:
             bad = (n, "recognition")
             break
-    return CheckResult(
-        "sag_properties",
-        bad is None,
-        f"n in 3..{top}" + ("" if bad is None else f"; fails {bad}"),
-        time.monotonic() - start,
-    )
+    return bad is None, f"n in 3..{top}" + ("" if bad is None else f"; fails {bad}")
 
 
 CRITERIA = (
@@ -451,20 +386,9 @@ class SelftestReport:
         )
 
 
-def _run_check(check, level: str) -> CheckResult:
-    """One check's result; a TheoremViolation becomes a FAIL row."""
-    start = time.monotonic()
-    try:
-        return check(level)
-    except TheoremViolation as exc:
-        name = check.__name__.removeprefix("check_")
-        detail = f"theorem violation: {exc}"
-        return CheckResult(name, False, detail, time.monotonic() - start)
-
-
 def run_selftest(level: str = "quick") -> SelftestReport:
     if level not in ("quick", _FULL):
         raise ValueError("level must be quick or full")
     start = time.monotonic()
-    results = tuple(_run_check(check, level) for check in CRITERIA)
+    results = tuple(check(level) for check in CRITERIA)
     return SelftestReport(results, time.monotonic() - start)

@@ -338,12 +338,10 @@ def test_selftest_quick(capsys):
 
 
 def test_selftest_reports_theorem_violation_as_fail(monkeypatch, capsys):
-    def check_special_hyperplane(level):
+    def find_special_hyperplane(m):
         raise TheoremViolation("no comparable hyperplane")
 
-    criteria = list(selftest.CRITERIA)
-    criteria[4] = check_special_hyperplane
-    monkeypatch.setattr(selftest, "CRITERIA", tuple(criteria))
+    monkeypatch.setattr(selftest, "find_special_hyperplane", find_special_hyperplane)
     assert main(["selftest", "--level", "quick"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 10
@@ -353,6 +351,16 @@ def test_selftest_reports_theorem_violation_as_fail(monkeypatch, capsys):
     assert "theorem violation: no comparable hyperplane" in fails[0]
     assert sum(line.startswith("pass") for line in lines[:9]) == 8
     assert "CHECKS FAILED" in lines[9]
+
+
+def test_selftest_sweep_names_its_first_failing_set(monkeypatch):
+    # Every drawn member fails; the row names the first one drawn and
+    # counts up to it.
+    monkeypatch.setattr(selftest, "critical_number", lambda m: 3 if m.n >= 5 else 1)
+    res = selftest.check_chi_bound("quick")
+    first = random_members(5, 20, 271, "i4tf_affine")[0]
+    assert not res.passed
+    assert res.detail == f"74 members checked; fails on {first}"
 
 
 def test_threads_default_from_environment(monkeypatch):

@@ -180,6 +180,16 @@ def test_certificate_onedim_base_json():
     assert doc["base"] == {"kind": "onedim", "points": [1]}
 
 
+def test_certificate_onedim_base_point_is_the_int_one():
+    # true and 1.0 compare equal to 1 but are no point.
+    for point in ("true", "1.0"):
+        text = f'{{"base": {{"kind": "onedim", "points": [{point}]}}, "steps": [], "map": [1]}}'
+        with pytest.raises(FormatError, match="onedim base points"):
+            certificate_from_json(text)
+    text = '{"base": {"kind": "onedim", "points": [1]}, "steps": [], "map": [1]}'
+    assert certificate_from_json(text).replay() == Matroid(1, 2)
+
+
 def test_certificate_from_json_errors():
     good = Certificate(sag(3), ("double",), identity_map(5)).to_json()
     doc = json.loads(good)

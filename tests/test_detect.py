@@ -330,12 +330,7 @@ def test_find_induced_odd_circuit_matches_brute():
 
 
 def test_find_induced_odd_circuit_validation():
-    with pytest.raises(ValueError):
-        find_induced_odd_circuit(Matroid(4, 0), kmax=4)
-    with pytest.raises(ValueError):
-        find_induced_odd_circuit(Matroid(4, 0), kmax=1)
-    assert find_induced_odd_circuit(circuit(5), kmax=3) is None
-    assert find_induced_odd_circuit(circuit(5), kmax=5).param == 5
+    assert find_induced_odd_circuit(circuit(5)).param == 5
 
 
 def test_affine_iff_no_induced_odd_circuit_exhaustive_dim3():

@@ -62,6 +62,13 @@ def test_mask_points_round_trip():
         assert points_mask(pts) == bits
 
 
+def test_mask_points_rejects_a_negative_mask():
+    # mask & -mask never clears the sign, so the loop would not end.
+    with pytest.raises(ValueError):
+        mask_points(-0x6E52)
+    assert mask_points(0) == []
+
+
 def test_rref_preserves_span_and_is_reduced():
     rng = random.Random(SEED + 2)
     for _ in range(200):

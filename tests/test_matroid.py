@@ -154,6 +154,17 @@ def test_parse_bmat_bits_take_hex_digits_only():
     assert parse_bmat("BMAT1 dim=3\nbits=0A").points == (5, 7)
 
 
+def test_parse_bmat_dim_and_points_take_decimal_digits_only():
+    # int() alone reads a sign, spaces, underscores and non-ASCII digits.
+    for dim in (" 3", "+3", "3 ", "0_3", "\u0663", "3.0", ""):
+        with pytest.raises(FormatError, match="bad dimension"):
+            parse_bmat(f"BMAT1 dim={dim}\npoints=1")
+    for tok in ("+1", "-1", "2_0", "\u0663", "0x3", "1.0"):
+        with pytest.raises(FormatError, match="bad point"):
+            parse_bmat(f"BMAT1 dim=5\npoints=1 {tok}")
+    assert parse_bmat("BMAT1 dim=05\npoints=1  20").points == (1, 20)
+
+
 @st.composite
 def _bmat_texts(draw):
     # Near-misses of the format as well as arbitrary text.
