@@ -361,3 +361,57 @@ def test_frozen_d8_canonical_maps():
         parts.append(f"{cm.bits:x}:{','.join(map(str, g.images))}")
     digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
     assert digest == FROZEN_D8_CANON_DIGEST
+
+
+# sha256 of "form:map images" over _doubled_canon_inputs(), joined by ";".
+# Pins the maps of doubled sets, whose translation stabilizer W = {w : E +
+# w = E} is not {0}: relabelings of double^k(c) at dims 5-7, k = 1..3, for
+# seeded random cores c.
+FROZEN_DOUBLED_CANON_DIGEST = (
+    "4a5da5708691018d52cd28b6cac838f702b3aefefb36995b53657d15300f1971"
+)
+
+
+def _doubled_canon_inputs():
+    rng = random.Random(SEED + 10)
+    out = []
+    for dim in (5, 6, 7):
+        for k in (1, 2, 3):
+            for _ in range(3):
+                core = Matroid(dim - k, rng.getrandbits(1 << (dim - k)) & ~1)
+                for _ in range(k):
+                    core = double(core)
+                out.append(apply_map(random_invertible_map(dim, rng), core))
+    return out
+
+
+# sha256 of "form:map images" of the dim-9 tower double^k(sag(m)) under
+# random_invertible_map(9, s), keyed by (m, k, s).  The labelings are ones
+# whose search takes about a second or less.
+FROZEN_D9_TOWER_DIGESTS = {
+    (3, 5, 1): "995f7f98d9d529edad30b5bbf05bfa3f1f79509504b9af0145bec714fdbcaa78",
+    (3, 5, 2): "6f7461151a47f5c2e34c97e83d8eccb8d2465951b651033a78008eef83506da7",
+    (3, 5, 3): "6f866e08196d3f8fd6644842a13590a178ddf78e555ea5d1b9d055b92690985e",
+    (8, 0, 1): "c4a91dad059be7c1e5afcfed57ae129f37b106433b245151f607e93e3f9fe485",
+}
+
+
+def _d9_tower(m, k, s):
+    tower = sag(m)
+    for _ in range(k):
+        tower = double(tower)
+    return apply_map(random_invertible_map(9, s), tower)
+
+
+def _form_and_map(m):
+    cm, g = canonical_form(m)
+    return f"{cm.bits:x}:{','.join(map(str, g.images))}"
+
+
+def test_frozen_doubled_canonical_maps():
+    parts = [_form_and_map(m) for m in _doubled_canon_inputs()]
+    digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
+    assert digest == FROZEN_DOUBLED_CANON_DIGEST
+    for key, want in FROZEN_D9_TOWER_DIGESTS.items():
+        got = hashlib.sha256(_form_and_map(_d9_tower(*key)).encode()).hexdigest()
+        assert got == want, key

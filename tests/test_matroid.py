@@ -211,11 +211,16 @@ def test_apply_map_is_a_group_action():
 
 @st.composite
 def _canon_cases(draw):
-    # A point set of PG(n-1, 2), empty and full sets drawn on purpose, and
-    # a seeded invertible map to relabel it by.
+    # A point set of PG(n-1, 2), empty and full sets drawn on purpose, half
+    # of the others doubled so that E + 2^(n-1) = E, and a seeded
+    # invertible map to relabel it by.
     n = draw(st.integers(1, 6))
     full = (1 << (1 << n)) - 2
     bits = draw(st.sampled_from((0, full)) | st.integers(0, full)) & full
+    if n > 1 and draw(st.booleans()):
+        half = 1 << (n - 1)
+        bits &= (1 << half) - 1
+        bits |= bits << half
     g = random_invertible_map(n, draw(st.integers(0, 2**32)))
     return Matroid(n, bits), g
 
