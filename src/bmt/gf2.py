@@ -365,11 +365,29 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     inherits the ones that also fix its new basis vector, and a node tests
     only the automorphisms harvested since it last looked, against its
     basis alone.
+
+    The translations that fix the set prune from the start.  Let W = {w :
+    E + w = E}, from Translates.stabilizer; a translate table of W gives
+    each coset u + W.  Let S be the span of a node's basis and u a
+    candidate, so u is off S.  For w in W with u + w off S, take a linear
+    functional f that is 0 on S and on w, with f(u) = 1; it exists since
+    u is off S + {0, w}.  The map x -> x + f(x) w is linear, its own
+    inverse (f(w) = 0), fixes S pointwise, sends E into E (E + w = E) and
+    sends u to u + w.  So every candidate in u + W is in u's orbit, and
+    the closure covers all of u + W for each point it covers; with W =
+    {0} (every odd E) that is u alone.  No pruning here changes the
+    answer: a pruned branch is the image of an earlier sibling under a
+    map fixing E and the basis, so that sibling already holds an equal
+    leaf earlier in depth first order, and the first least leaf of the
+    unpruned search is always visited.  Forms and maps are the same as
+    without any pruning.
     """
     size = 1 << n
     full = (1 << size) - 2
     if bits == 0 or bits == full:
         return bits, identity_map(n)
+    # Entry v is the coset v + W of the set's translation stabilizer W.
+    cosets = Translates(Translates(bits, n).stabilizer(), n)
 
     best_blocks: list[int] | None = None
     best_hp: list[int] | None = None
@@ -470,7 +488,7 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
             sm = spanmask | xor_translate(spanmask | 1, u)
             dfs(images, cols, sm, blocks, stab, seen, cands)
             images.pop()
-            covered |= low
+            covered |= cosets[u]
             if fixing:
                 frontier = [u]
                 while frontier and cands & ~covered:
@@ -478,7 +496,7 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
                     for phi in fixing:
                         y = phi[x]
                         if not (covered >> y) & 1:
-                            covered |= 1 << y
+                            covered |= cosets[y]
                             frontier.append(y)
         blocks.pop()
 
