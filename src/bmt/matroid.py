@@ -112,8 +112,9 @@ def _decimal(tok: str) -> int | None:
 def parse_bmat(text: str) -> Matroid:
     """Parse the two line matroid format.
 
-    Line 1: "BMAT1 dim=<n>".  Line 2: either "points=<space separated>"
-    or "bits=<hex, least significant nibble first>".
+    Line 1: "BMAT1 dim=<n>".  Line 2: either "points=<decimal points,
+    one ASCII space between two>" or "bits=<hex, least significant nibble
+    first>".
     """
     lines = text.split("\n")
     if len(lines) == 3 and lines[2] == "":
@@ -133,7 +134,9 @@ def parse_bmat(text: str) -> Matroid:
         payload = body[len("points="):]
         bits = 0
         if payload:
-            for tok in payload.split():
+            # str.split() would also take runs of spaces, tabs and Unicode
+            # spaces; an empty token is a doubled, leading or trailing space.
+            for tok in payload.split(" "):
                 p = _decimal(tok)
                 if p is None:
                     raise FormatError(f"bad point: {tok!r}")

@@ -162,7 +162,19 @@ def test_parse_bmat_dim_and_points_take_decimal_digits_only():
     for tok in ("+1", "-1", "2_0", "\u0663", "0x3", "1.0"):
         with pytest.raises(FormatError, match="bad point"):
             parse_bmat(f"BMAT1 dim=5\npoints=1 {tok}")
-    assert parse_bmat("BMAT1 dim=05\npoints=1  20").points == (1, 20)
+    assert parse_bmat("BMAT1 dim=05\npoints=1 20").points == (1, 20)
+
+
+def test_parse_bmat_points_take_single_ascii_spaces_only():
+    # str.split() would read any run of whitespace as one separator.
+    for sep in ("\u00a0", "\u3000", "\u001c", "\t", "  "):
+        with pytest.raises(FormatError, match="bad point"):
+            parse_bmat(f"BMAT1 dim=3\npoints=1{sep}2")
+    for payload in (" 1 2", "1 2 ", " "):
+        with pytest.raises(FormatError, match="bad point"):
+            parse_bmat(f"BMAT1 dim=3\npoints={payload}")
+    assert parse_bmat("BMAT1 dim=3\npoints=1 2").points == (1, 2)
+    assert parse_bmat("BMAT1 dim=3\npoints=").points == ()
 
 
 @st.composite
@@ -188,6 +200,25 @@ def test_parse_bmat_fuzz_gives_matroid_or_format_error(text):
     except FormatError:
         return
     assert parse_bmat(serialize_bmat(m, form="bits")) == m
+
+
+@st.composite
+def _bmat_cases(draw):
+    # A point set of PG(n-1, 2), empty and full sets drawn on purpose, and
+    # a text form.
+    n = draw(st.integers(1, 8))
+    full = (1 << (1 << n)) - 2
+    bits = draw(st.sampled_from((0, full)) | st.integers(0, full)) & full
+    return Matroid(n, bits), draw(st.sampled_from(("points", "bits")))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bmat_cases())
+def test_bmat_round_trip_property(case):
+    m, form = case
+    text = serialize_bmat(m, form)
+    assert parse_bmat(text) == m
+    assert serialize_bmat(parse_bmat(text), form) == text
 
 
 def test_serialize_unknown_form():
