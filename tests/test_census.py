@@ -25,7 +25,7 @@ from bmt import (
     random_members,
     sag,
 )
-from bmt.gf2 import random_invertible_map
+from bmt.gf2 import Translates, random_invertible_map
 
 SEED = 6007
 
@@ -426,3 +426,25 @@ def test_doubled_d9_worst_case_is_its_own_form():
     # filled its automorphism cap and then visited every tying leaf.
     cm = canonical_form(_d9_tower(4, 4, 2))[0]
     assert canonical_form(cm)[0] == cm
+
+
+# sha256 of "form:map images" over _trivial_stabilizer_canon_inputs(),
+# joined by ";".  Seeded dim-7 i4tf_affine draws whose translation
+# stabilizer W is {0}, so no coset pruning applies; draws whose search
+# takes seconds (0 and 9) are left out.
+FROZEN_TRIVIAL_W_D7_DIGEST = (
+    "7e40fbfc5af04725fea41230407db5875aa657941944b424575254a048962fdf"
+)
+
+
+def _trivial_stabilizer_canon_inputs():
+    draws = random_members(7, 37, 0, "i4tf_affine")
+    return [draws[i] for i in (1, 2, 10, 17, 29, 32, 36)]
+
+
+def test_frozen_trivial_stabilizer_d7_canonical_maps():
+    inputs = _trivial_stabilizer_canon_inputs()
+    assert all(Translates(m.bits, 7).stabilizer() == 1 for m in inputs)
+    parts = [_form_and_map(m) for m in inputs]
+    digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
+    assert digest == FROZEN_TRIVIAL_W_D7_DIGEST
