@@ -345,17 +345,15 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     whichever set contains the first point where they differ comes first.
     The search enumerates preimage bases depth first and keeps only choices
     that are optimal block by block.  A node at depth d has fixed the images
-    h_q of the points q < 2^d.  Its columns are bitsets, column q holding
-    the vectors v with v ^ h_q in the set, and the next block of a
-    candidate v reads down the columns, bit q set when v is not in column
-    q.  The least block and the candidates giving it come from refining the
-    candidates one column at a time: keep those in the column if there are
-    any, else emit a 1 bit.  A node's columns are its parent's and their
-    translates by its last vector.  It refines the second half against its
-    parent's columns with the candidates translated by that vector, so only
-    a node whose children are not leaves translates columns, to hand them
-    down.  The first half is the parent's least block whenever a vector
-    giving it is still off the span.  While a node's blocks tie the best
+    h_q of the points q < 2^d.  Its column q is the translate E + h_q, the
+    vectors v with v ^ h_q in the set, read from one Translates table of E,
+    and the next block of a candidate v reads down the columns, bit q set
+    when v is not in column q.  The least block and the candidates giving
+    it come from refining the candidates one column at a time: keep those
+    in the column if there are any, else emit a 1 bit.  A node's images are
+    its parent's and their sums with its last vector, so the second half of
+    its columns are the entries at h_q ^ last.  The first half is the
+    parent's least block whenever a vector giving it is still off the span.  While a node's blocks tie the best
     leaf's, each 1 bit is compared as it is produced, and the node returns
     at its first larger bit.  Equivalent branches are pruned with
     automorphisms harvested from equally good leaves, at most 240, each a
@@ -386,8 +384,10 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     full = (1 << size) - 2
     if bits == 0 or bits == full:
         return bits, identity_map(n)
-    # Entry v is the coset v + W of the set's translation stabilizer W.
-    cosets = Translates(Translates(bits, n).stabilizer(), n)
+    # Entry v is the column E + v; entry v of cosets is the coset v + W of
+    # the set's translation stabilizer W.
+    table = Translates(bits, n)
+    cosets = Translates(table.stabilizer(), n)
 
     best_blocks: list[int] | None = None
     best_hp: list[int] | None = None
@@ -398,18 +398,18 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
 
     def dfs(
         images: list[int],
-        cols: list[int],
+        hps: list[int],
         spanmask: int,
         blocks: list[int],
         fixing: list[list[int]],
         seen: int,
         pcands: int,
     ) -> None:
-        # cols are the parent's columns, the root's one column for the
-        # root; column q holds the v with v ^ hp[q] in the set, where hp[q]
-        # is the image of q under the chosen preimages.  pcands are the
-        # parent's candidates for its block.  fixing holds the
-        # automorphisms among auts[:seen] that fix images.
+        # hps are the parent's images hp[q] of the points q under the
+        # chosen preimages, [0] for the root; column q is table[hp[q]], the
+        # v with v ^ hp[q] in the set.  pcands are the parent's candidates
+        # for its block.  fixing holds the automorphisms among auts[:seen]
+        # that fix images.
         nonlocal best_blocks, best_hp, best_images
         depth = len(images)
         if depth == n:
@@ -434,7 +434,7 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
                 auts.append(phi)
             return
         last = images[-1] if images else 0
-        half = len(cols)
+        half = len(hps)
         width = 1 << depth
         # Blocks before this one are never worse than the best leaf's.  On
         # a tie this block may not exceed the best leaf's, and only a 1 bit
@@ -445,36 +445,33 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
             bound = (1 << width) - 1
         cands = full & ~spanmask
         block = 0
-        # Past the root, the second half of the columns is cols translated
-        # by the last vector: refine it on cols with the candidates
-        # translated instead.
-        frames = (0, last) if depth else (0,)
-        # Over cols the parent's least block is still least if a vector
-        # giving it is still off the span.  If none is, this block's first
-        # half is larger and loses to a best leaf whose first half is the
-        # parent's block.
+        # Past the root, the second half of the columns are the translates
+        # by the last vector of the first half's.
+        shifts = (0, last) if depth else (0,)
+        # Over the first half the parent's least block is still least if a
+        # vector giving it is still off the span.  If none is, this block's
+        # first half is larger and loses to a best leaf whose first half is
+        # the parent's block.
         if kept := pcands & cands:
             cands = kept
             block = blocks[-1]
-            frames = (last,)
+            shifts = (last,)
         elif depth and bound >> half == blocks[-1]:
             return
-        first = width - half * len(frames)
-        for t in frames:
-            cands = xor_translate(cands, t)
-            for q, col in enumerate(cols, first):
-                if present := cands & col:
+        q = width - half * len(shifts)
+        for t in shifts:
+            for h in hps:
+                if present := cands & table[h ^ t]:
                     cands = present
                     block <<= 1
                 else:
                     block = (block << 1) | 1
                     if block > bound >> (width - 1 - q):
                         return
-            cands = xor_translate(cands, t)
-            first += half
+                q += 1
         blocks.append(block)
         if depth and depth + 1 < n:
-            cols = cols + [xor_translate(col, last) for col in cols]
+            hps = hps + [h ^ last for h in hps]
         covered = 0
         while rest := cands & ~covered:
             low = rest & -rest
@@ -486,7 +483,7 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
             images.append(u)
             stab = [phi for phi in fixing if phi[u] == u]
             sm = spanmask | xor_translate(spanmask | 1, u)
-            dfs(images, cols, sm, blocks, stab, seen, cands)
+            dfs(images, hps, sm, blocks, stab, seen, cands)
             images.pop()
             covered |= cosets[u]
             if fixing:
@@ -500,7 +497,7 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
                             frontier.append(y)
         blocks.pop()
 
-    dfs([], [bits], 0, [], [], 0, 0)
+    dfs([], [0], 0, [], [], 0, 0)
     assert best_hp is not None and best_images is not None
     canon = 0
     for q in range(1, size):
