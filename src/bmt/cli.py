@@ -94,7 +94,8 @@ def _check_prop(
 
 def _cmd_check(args) -> int:
     m = _read_matroid(args.file)
-    names = [s.strip() for s in args.props.split(",") if s.strip()]
+    # A repeated name is checked and reported once.
+    names = list(dict.fromkeys(s.strip() for s in args.props.split(",") if s.strip()))
     if not names:
         raise FormatError("no property to check")
     for name in names:

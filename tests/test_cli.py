@@ -95,6 +95,13 @@ def test_check_json(pg3_file, capsys):
     assert doc["props"]["triangle"]["witness"]["points"] == [1, 2, 3]
 
 
+def test_check_reports_a_repeated_property_once(c5_file, capsys):
+    assert main(["check", "--props", "i4,triangle,i4", c5_file]) == 0
+    assert capsys.readouterr().out == "i4: none\ntriangle: none\n"
+    assert main(["--json", "check", "--props", "i4,i4", c5_file]) == 0
+    assert list(json.loads(capsys.readouterr().out)["props"]) == ["i4"]
+
+
 def test_check_unknown_prop_is_usage_error(c5_file, capsys):
     assert main(["check", "--props", "bogus", c5_file]) == 2
 
@@ -191,6 +198,22 @@ def test_canon_output_is_canonical_bmat(c5_file, capsys):
     assert main(["canon", c5_file]) == 0
     m = parse_bmat(capsys.readouterr().out)
     assert m == canonical_form(Matroid(4, circuit(5).bits))[0]
+
+
+def test_canon_and_build_write_bmat_under_json(tmp_path, c5_file, capsys):
+    # --json changes only the verbs that print a report; canon and build
+    # print the BMAT text either way.
+    assert main(["canon", c5_file]) == 0
+    text = capsys.readouterr().out
+    assert main(["--json", "canon", c5_file]) == 0
+    assert capsys.readouterr().out == text
+    assert parse_bmat(text) == canonical_form(Matroid(4, circuit(5).bits))[0]
+    cert = tmp_path / "cert.json"
+    cert.write_text(
+        '{"base": {"kind": "sag", "n": 3}, "steps": [], "map": [1, 2, 4, 8]}'
+    )
+    assert main(["--json", "build", str(cert)]) == 0
+    assert capsys.readouterr().out == serialize_bmat(sag(3))
 
 
 def test_enumerate_table_and_json(capsys):
