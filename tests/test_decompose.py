@@ -4,6 +4,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bmt import decompose
 from bmt import (
@@ -235,6 +236,32 @@ def test_decompose_i4tf_affine_members():
         assert isinstance(out, AffineChain)
         assert out.certificate.replay() == m
         assert len(out.certificate.steps) == m.n - 1
+
+
+@st.composite
+def _i4tf_members(draw):
+    tag = draw(st.sampled_from(("i4tf_affine", "i4tf_nonaffine")))
+    dim = draw(st.integers(1 if tag == "i4tf_affine" else 4, 7))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return tag, random_members(dim, 1, seed, tag)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_i4tf_members())
+def test_decompose_i4tf_replays_random_members(case):
+    # A chain replays to the member itself, a doubling tower to the
+    # restriction onto the member's span, which embeds back onto it.
+    tag, m = case
+    res = decompose_i4tf(m)
+    out = res.outcome
+    if tag == "i4tf_affine":
+        assert isinstance(out, AffineChain)
+        assert out.certificate.replay() == m
+    else:
+        assert isinstance(out, DoubledSag)
+        core = out.certificate.replay()
+        assert core == res.restriction.matroid
+        assert res.restriction.embed.apply_mask(core.bits) == m.bits
 
 
 def test_decompose_i4tf_rank_deficient_member():
