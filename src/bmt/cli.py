@@ -94,7 +94,6 @@ def _check_prop(
 
 def _cmd_check(args) -> int:
     m = _read_matroid(args.file)
-    # A repeated name is checked and reported once.
     names = list(dict.fromkeys(s.strip() for s in args.props.split(",") if s.strip()))
     if not names:
         raise FormatError("no property to check")
