@@ -430,8 +430,8 @@ def test_doubled_d9_worst_case_is_its_own_form():
 
 # sha256 of "form:map images" over _trivial_stabilizer_canon_inputs(),
 # joined by ";".  Seeded dim-7 i4tf_affine draws whose translation
-# stabilizer W is {0}, so no coset pruning applies; draws whose search
-# takes seconds (0 and 9) are left out.
+# stabilizer W is {0}, so no coset pruning applies; draws 0 and 9, the
+# deepest searches among them, are pinned on their own below.
 FROZEN_TRIVIAL_W_D7_DIGEST = (
     "7e40fbfc5af04725fea41230407db5875aa657941944b424575254a048962fdf"
 )
@@ -448,3 +448,21 @@ def test_frozen_trivial_stabilizer_d7_canonical_maps():
     parts = [_form_and_map(m) for m in inputs]
     digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
     assert digest == FROZEN_TRIVIAL_W_D7_DIGEST
+
+
+# sha256 of "form:map images" of draws 0 and 9 of random_members(7, 10,
+# 0, "i4tf_affine"), joined by ";".  Both have W = {0} and 51 and 55
+# points; draw 9 once walked over a million nodes of leaves tying the
+# best one.
+FROZEN_TRIVIAL_W_D7_DEEP_DIGEST = (
+    "dedf63cfa58f85396a68b50c0cc333ac5d345c0540539c08e930ce7466ccd94c"
+)
+
+
+def test_frozen_trivial_stabilizer_d7_deep_canonical_maps():
+    draws = random_members(7, 10, 0, "i4tf_affine")
+    inputs = [draws[0], draws[9]]
+    assert all(Translates(m.bits, 7).stabilizer() == 1 for m in inputs)
+    parts = [_form_and_map(m) for m in inputs]
+    digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
+    assert digest == FROZEN_TRIVIAL_W_D7_DEEP_DIGEST
