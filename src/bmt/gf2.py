@@ -353,16 +353,31 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     in the column if there are any, else emit a 1 bit.  A node's images are
     its parent's and their sums with its last vector, so the second half of
     its columns are the entries at h_q ^ last.  The first half is the
-    parent's least block whenever a vector giving it is still off the span.  While a node's blocks tie the best
-    leaf's, each 1 bit is compared as it is produced, and the node returns
-    at its first larger bit.  Equivalent branches are pruned with
-    automorphisms harvested from equally good leaves, at most 240, each a
-    list of 2^n images.  A node closes its candidates under those that fix
-    its basis pointwise, which, being linear, fix its span, and stops once
-    every candidate is covered.  It keeps that list incrementally: a child
+    parent's least block whenever a vector giving it is still off the
+    span.  While a node's blocks tie the best leaf's, each 1 bit is
+    compared as it is produced, and the node returns at its first larger
+    bit.
+
+    Equivalent branches are pruned with the automorphisms of the set that
+    leaves tying the best leaf give, as in McKay and Piperno's canonical
+    labelling search ("Practical graph isomorphism, II", 2014).  A tying
+    leaf's map phi sends the best leaf's images to its own, so it fixes
+    E, it fixes the images the two paths share, images[:k] with k the
+    first depth where they differ, and it sends the child b of node k on
+    the best leaf's path to the child u on this one.  phi carries the
+    subtree under b, already searched, onto the subtree under u, leaf for
+    leaf with equal blocks, so the subtree under u holds no leaf smaller
+    than the best.  The tie therefore returns k: every deeper node returns
+    at once without trying its remaining candidates, and node k resumes
+    its loop.  The maps are kept, at most 240, each a list of 2^n images;
+    once the cap is full a tie still jumps back but keeps no map.  A node
+    closes its candidates under the kept maps that fix its basis
+    pointwise, which, being linear, fix its span, and stops once every
+    candidate is covered.  It keeps that list incrementally: a child
     inherits the ones that also fix its new basis vector, and a node tests
-    only the automorphisms harvested since it last looked, against its
-    basis alone.
+    only the maps harvested since it last looked, against its basis
+    alone.  It looks right after each child returns, so node k closes its
+    candidates under the map that sent the search back to it.
 
     The translations that fix the set prune from the start.  Let W = {w :
     E + w = E}, from Translates.stabilizer; a translate table of W gives
@@ -404,19 +419,25 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
         fixing: list[list[int]],
         seen: int,
         pcands: int,
-    ) -> None:
+    ) -> int:
         # hps are the parent's images hp[q] of the points q under the
         # chosen preimages, [0] for the root; column q is table[hp[q]], the
         # v with v ^ hp[q] in the set.  pcands are the parent's candidates
         # for its block.  fixing holds the automorphisms among auts[:seen]
-        # that fix images.
+        # that fix images.  The return value is the depth at which the
+        # search resumes: a node above it returns at once.
         nonlocal best_blocks, best_hp, best_images
         depth = len(images)
         if depth == n:
-            # Past the cutoff, a leaf that is not better ties.
+            # Past the cutoff, a leaf that is not better ties.  A tie
+            # resumes the search where its path leaves the best leaf's.
             better = best_blocks is None or blocks < best_blocks
-            if not better and len(auts) >= aut_cap:
-                return
+            if not better:
+                back = 0
+                while images[back] == best_images[back]:
+                    back += 1
+                if len(auts) >= aut_cap:
+                    return back
             hp = [0]
             for x in images:
                 hp += [x ^ y for y in hp]
@@ -424,7 +445,7 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
                 best_blocks = list(blocks)
                 best_hp = hp
                 best_images = images[:]
-                return
+                return depth
             phi = [0] * size
             for q in range(1, size):
                 phi[best_hp[q]] = hp[q]
@@ -432,7 +453,7 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
             if key not in aut_keys:
                 aut_keys.add(key)
                 auts.append(phi)
-            return
+            return back
         last = images[-1] if images else 0
         half = len(hps)
         width = 1 << depth
@@ -457,7 +478,7 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
             block = blocks[-1]
             shifts = (last,)
         elif depth and bound >> half == blocks[-1]:
-            return
+            return depth
         q = width - half * len(shifts)
         for t in shifts:
             for h in hps:
@@ -467,24 +488,27 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
                 else:
                     block = (block << 1) | 1
                     if block > bound >> (width - 1 - q):
-                        return
+                        return depth
                 q += 1
         blocks.append(block)
         if depth and depth + 1 < n:
             hps = hps + [h ^ last for h in hps]
+        back = depth
         covered = 0
         while rest := cands & ~covered:
             low = rest & -rest
             u = low.bit_length() - 1
+            images.append(u)
+            stab = [phi for phi in fixing if phi[u] == u]
+            sm = spanmask | xor_translate(spanmask | 1, u)
+            back = dfs(images, hps, sm, blocks, stab, seen, cands)
+            images.pop()
+            if back < depth:
+                break
             fixing += [
                 phi for phi in auts[seen:] if all(phi[x] == x for x in images)
             ]
             seen = len(auts)
-            images.append(u)
-            stab = [phi for phi in fixing if phi[u] == u]
-            sm = spanmask | xor_translate(spanmask | 1, u)
-            dfs(images, hps, sm, blocks, stab, seen, cands)
-            images.pop()
             covered |= cosets[u]
             if fixing:
                 frontier = [u]
@@ -496,6 +520,7 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
                             covered |= cosets[y]
                             frontier.append(y)
         blocks.pop()
+        return back
 
     dfs([], [0], 0, [], [], 0, 0)
     assert best_hp is not None and best_images is not None
