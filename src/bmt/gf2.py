@@ -102,11 +102,6 @@ def parity(x: int) -> int:
     return x.bit_count() & 1
 
 
-def dot(w: int, x: int) -> int:
-    """Standard bilinear form <w, x> over GF(2)."""
-    return (w & x).bit_count() & 1
-
-
 def mask_points(mask: int) -> list[int]:
     """Set bits of mask, ascending."""
     if mask < 0:

@@ -11,7 +11,6 @@ from bmt.gf2 import (
     canonical_form_bits,
     closure,
     compose,
-    dot,
     functional_kernel,
     hyperplane_functional,
     identity_map,
@@ -41,16 +40,6 @@ from oracles import (
 )
 
 SEED = 1009
-
-
-def test_dot_is_bilinear_parity():
-    rng = random.Random(SEED)
-    for _ in range(200):
-        w = rng.randrange(1 << 6)
-        x = rng.randrange(1 << 6)
-        y = rng.randrange(1 << 6)
-        assert dot(w, x) == parity(w & x)
-        assert dot(w, x ^ y) == dot(w, x) ^ dot(w, y)
 
 
 def test_mask_points_round_trip():
@@ -243,3 +232,31 @@ def test_gl_orbit_sizes_dim3():
     for canon, members in orbits.items():
         assert canon in members
         assert len(gl_images(3)) % len(members) == 0
+
+
+def _burnside_orbit_count(n):
+    # Orbits of GL(n, 2) on the point sets of PG(n-1, 2): the mean over
+    # the group of 2^(cycles of g on the points).
+    total = 0
+    for images in gl_images(n):
+        perm = {p: map_point(images, p) for p in range(1, 1 << n)}
+        cycles = 0
+        while perm:
+            p, q = perm.popitem()
+            cycles += 1
+            while q in perm:
+                q = perm.pop(q)
+        total += 2**cycles
+    assert total % len(gl_images(n)) == 0
+    return total // len(gl_images(n))
+
+
+def test_canonical_form_bits_exhaustive_dim4():
+    # Every set maps onto its form, so each orbit holds a form; as many
+    # forms as orbits means each orbit holds exactly one.
+    forms = set()
+    for bits in range(0, 1 << 16, 2):
+        canon, g = canonical_form_bits(4, bits)
+        assert g.apply_mask(bits) == canon
+        forms.add(canon)
+    assert len(forms) == _burnside_orbit_count(4) == 46
