@@ -2,11 +2,14 @@
 
 Each test runs one suite, prints a single pass/fail line, and enforces
 the stated runtime budget where one exists.  Suites are cached so the
-whole gate runs each computation once.
+whole gate runs each computation once.  One more budget bounds the
+slowest seeded canonical form with no translation symmetry.
 """
 
+import time
 from functools import lru_cache
 
+from bmt import canonical_form, random_members
 from bmt.selftest import (
     CRITERIA,
     check_affine_characterization,
@@ -85,6 +88,17 @@ def test_criterion_8_alpha_beta_ledger():
 def test_criterion_9_sag_properties():
     # Size, freeness, critical number 2, and self recognition for n 3..8.
     _report(9, _run(check_sag_properties))
+
+
+def test_canon_budget_trivial_stabilizer_d7():
+    # Draw 9 of the seeded dim-7 affine members has no translation
+    # symmetry and 55 points; its canonical form under 2 seconds.
+    m = random_members(7, 10, 0, "i4tf_affine")[9]
+    start = time.perf_counter()
+    canonical_form(m)
+    elapsed = time.perf_counter() - start
+    print(f"canon draw 9 took {elapsed:.2f}s")
+    assert elapsed < 2.0, f"canon of draw 9 took {elapsed:.1f}s"
 
 
 def test_selftest_report_aggregates_all_criteria():
