@@ -430,8 +430,8 @@ def test_doubled_d9_worst_case_is_its_own_form():
 
 # sha256 of "form:map images" over _trivial_stabilizer_canon_inputs(),
 # joined by ";".  Seeded dim-7 i4tf_affine draws whose translation
-# stabilizer W is {0}, so no coset pruning applies; draws 0 and 9, the
-# deepest searches among them, are pinned on their own below.
+# stabilizer W is {0}, so no coset pruning applies; draws 0 and 9 are
+# pinned on their own below.
 FROZEN_TRIVIAL_W_D7_DIGEST = (
     "7e40fbfc5af04725fea41230407db5875aa657941944b424575254a048962fdf"
 )
@@ -451,9 +451,8 @@ def test_frozen_trivial_stabilizer_d7_canonical_maps():
 
 
 # sha256 of "form:map images" of draws 0 and 9 of random_members(7, 10,
-# 0, "i4tf_affine"), joined by ";".  Both have W = {0} and 51 and 55
-# points; draw 9 once walked over a million nodes of leaves tying the
-# best one.
+# 0, "i4tf_affine"), joined by ";".  Both have W = {0}, with 51 and 55
+# points, and their searches meet leaves that tie the best one.
 FROZEN_TRIVIAL_W_D7_DEEP_DIGEST = (
     "dedf63cfa58f85396a68b50c0cc333ac5d345c0540539c08e930ce7466ccd94c"
 )
