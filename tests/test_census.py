@@ -13,6 +13,8 @@ from bmt import (
     ag,
     apply_map,
     canonical_form,
+    circuit,
+    complement,
     decompose_i4tf,
     double,
     enumerate_generated,
@@ -24,6 +26,7 @@ from bmt import (
     parse_bmat,
     random_members,
     sag,
+    units,
 )
 from bmt.gf2 import Translates, random_invertible_map
 
@@ -465,3 +468,28 @@ def test_frozen_trivial_stabilizer_d7_deep_canonical_maps():
     parts = [_form_and_map(m) for m in inputs]
     digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
     assert digest == FROZEN_TRIVIAL_W_D7_DEEP_DIGEST
+
+
+# sha256 of "form:map images" over _symmetric_canon_inputs(), joined by
+# ";".  These sets have W = {0} and large automorphism groups, so their
+# searches keep the most maps per point: units(n) for n = 5..9, the
+# circuits of 5, 7 and 9 elements, and the complements of units(5) and
+# units(6), each under random_invertible_map(n, s) for s = 1, 2.
+FROZEN_SYMMETRIC_CANON_DIGEST = (
+    "1df178ca790982b981fd2092ead38af0fc9bf05911fed98a01cd80a5791f6b91"
+)
+
+
+def _symmetric_canon_inputs():
+    cores = [units(n) for n in range(5, 10)]
+    cores += [circuit(k) for k in (5, 7, 9)]
+    cores += [complement(units(n)) for n in (5, 6)]
+    return [apply_map(random_invertible_map(c.n, s), c) for c in cores for s in (1, 2)]
+
+
+def test_frozen_symmetric_canonical_maps():
+    inputs = _symmetric_canon_inputs()
+    assert all(Translates(m.bits, m.n).stabilizer() == 1 for m in inputs)
+    parts = [_form_and_map(m) for m in inputs]
+    digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
+    assert digest == FROZEN_SYMMETRIC_CANON_DIGEST
