@@ -369,18 +369,10 @@ def critical_number(m: Matroid) -> int:
         return 1
     n = m.n
     # Look for a codimension 2 kernel: a functional pair (w1, w2) where w2
-    # hits every element surviving w1.  Small survivor sets first.  Neither
-    # 0 nor w1 can solve the survivor system, so any solution works.
-    order = []
+    # hits every element surviving w1.  Neither 0 nor w1 can solve the
+    # survivor system, so any solution works.
     for w1 in range(1, 1 << n):
-        amask = 0
-        for p in m.points:
-            if (w1 & p).bit_count() & 1 == 0:
-                amask |= 1 << p
-        order.append((amask.bit_count(), w1, amask))
-    order.sort()
-    for _, w1, amask in order:
-        rows = mask_points(amask)
+        rows = [p for p in m.points if (w1 & p).bit_count() & 1 == 0]
         sol, _ = linear_system_solve(rows, [1] * len(rows), n)
         if sol is not None:
             return 2

@@ -364,8 +364,7 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     leaf with equal blocks, so the subtree under u holds no leaf smaller
     than the best.  The tie therefore returns k: every deeper node returns
     at once without trying its remaining candidates, and node k resumes
-    its loop.  The maps are kept, at most 240, each a list of 2^n images;
-    once the cap is full a tie still jumps back but keeps no map.  A node
+    its loop.  Each tie keeps its map, a list of 2^n images.  A node
     closes its candidates under the kept maps that fix its basis
     pointwise, which, being linear, fix its span, and stops once every
     candidate is covered.  It keeps that list incrementally: a child
@@ -403,8 +402,6 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     best_hp: list[int] | None = None
     best_images: list[int] | None = None
     auts: list[list[int]] = []
-    aut_keys: set[tuple[int, ...]] = set()
-    aut_cap = 240
 
     def dfs(
         images: list[int],
@@ -424,19 +421,9 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
         nonlocal best_blocks, best_hp, best_images
         depth = len(images)
         if depth == n:
-            # Past the cutoff, a leaf that is not better ties.  A tie
-            # resumes the search where its path leaves the best leaf's.
-            better = best_blocks is None or blocks < best_blocks
-            if not better:
-                back = 0
-                while images[back] == best_images[back]:
-                    back += 1
-                if len(auts) >= aut_cap:
-                    return back
-            hp = [0]
-            for x in images:
-                hp += [x ^ y for y in hp]
-            if better:
+            hp = hps + [h ^ images[-1] for h in hps]
+            # Past the cutoff, a leaf that is not better ties.
+            if best_blocks is None or blocks < best_blocks:
                 best_blocks = list(blocks)
                 best_hp = hp
                 best_images = images[:]
@@ -444,10 +431,11 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
             phi = [0] * size
             for q in range(1, size):
                 phi[best_hp[q]] = hp[q]
-            key = tuple(phi[1 << i] for i in range(n))
-            if key not in aut_keys:
-                aut_keys.add(key)
-                auts.append(phi)
+            auts.append(phi)
+            # A tie resumes the search where its path leaves the best leaf's.
+            back = 0
+            while images[back] == best_images[back]:
+                back += 1
             return back
         last = images[-1] if images else 0
         half = len(hps)
@@ -486,7 +474,7 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
                         return depth
                 q += 1
         blocks.append(block)
-        if depth and depth + 1 < n:
+        if depth:
             hps = hps + [h ^ last for h in hps]
         back = depth
         covered = 0

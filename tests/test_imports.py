@@ -1,4 +1,5 @@
-"""Import hygiene: every name a module imports is used or re-exported.
+"""Import hygiene: every name a module imports is used or re-exported,
+and every top-level definition is used somewhere.
 
 No linter ships with the package, so this walks the sources with the
 standard library's ast module.
@@ -10,6 +11,16 @@ import pathlib
 import bmt
 
 SRC = pathlib.Path(bmt.__file__).parent
+PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
+
+
+def _exported(node: ast.AST) -> set[str]:
+    # The names an `__all__ = [...]` assignment lists.
+    if isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    ):
+        return {elt.value for elt in node.value.elts}
+    return set()
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -25,10 +36,8 @@ def _unused_imports(tree: ast.Module) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported |= {elt.value for elt in node.value.elts}
+        else:
+            exported |= _exported(node)
     return [
         f"line {line}: {name}"
         for name, line in sorted(imported.items(), key=lambda kv: kv[1])
@@ -45,3 +54,54 @@ def test_every_import_is_used_or_exported():
         if found:
             unused[path.name] = found
     assert unused == {}
+
+
+def _defined(stmt: ast.stmt) -> list[str]:
+    # The functions, classes and constants a top-level statement defines.
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    names = [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("__")]
+
+
+def _references(node: ast.AST) -> set[str]:
+    # Names read, names imported and names in __all__.
+    refs = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            refs.add(sub.id)
+        elif isinstance(sub, ast.ImportFrom):
+            refs |= {alias.name for alias in sub.names}
+        else:
+            refs |= _exported(sub)
+    return refs
+
+
+def test_every_definition_is_used_exported_or_benchmarked():
+    # A definition counts as used when a top-level statement other than
+    # its own reads it, so a function that only calls itself is dead.
+    # perfbench counts through what it imports from bmt (gf2.parity).
+    stmts = [
+        (path.name, stmt)
+        for path in sorted(SRC.glob("*.py"))
+        for stmt in ast.parse(path.read_text(), str(path)).body
+    ]
+    refs = [_references(stmt) for _, stmt in stmts]
+    benched = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module.startswith("bmt"):
+                benched |= {alias.name for alias in node.names}
+    dead = [
+        f"{name} line {stmt.lineno}: {d}"
+        for i, (name, stmt) in enumerate(stmts)
+        for d in _defined(stmt)
+        if d not in benched and not any(d in r for j, r in enumerate(refs) if j != i)
+    ]
+    assert dead == []
