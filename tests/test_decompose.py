@@ -51,39 +51,40 @@ def test_find_special_hyperplane_known_cases():
     assert (sh.case, sh.functional) == ("e_subset_h", 1)
 
 
+_CASES = ("e_subset_h", "complement_subset_h", "e_disjoint_h", "h_subset_e")
+
+
+def _relations(m, w):
+    # The four relations between E and the kernel of w, in scan order.
+    h = functional_kernel(w, m.n).members
+    comp = m.bits ^ ((1 << (1 << m.n)) - 2)
+    return (m.bits & ~h == 0, comp & ~h == 0, m.bits & h == 0, h & ~m.bits == 0)
+
+
+def _assert_scan_contract(m):
+    # The returned case holds at the returned functional, no relation
+    # earlier in the order holds there, and no smaller functional
+    # satisfies any of the four.  decompose_affine_step relies on both.
+    sh = find_special_hyperplane(m)
+    assert functional_kernel(sh.functional, m.n).members == sh.flat.members
+    rel = _relations(m, sh.functional)
+    idx = _CASES.index(sh.case)
+    assert rel[idx]
+    assert not any(rel[:idx])
+    for w in range(1, sh.functional):
+        assert not any(_relations(m, w))
+
+
 def test_find_special_hyperplane_case_labels_hold():
     # Everything at dim 3 satisfies the size 4 freeness condition, so the
     # search must always land on a hyperplane in one of the four relations.
     for bits in range(0, 1 << 8, 2):
-        m = Matroid(3, bits)
-        sh = find_special_hyperplane(m)
-        h = sh.flat.members
-        comp = bits ^ ((1 << 8) - 2)
-        assert functional_kernel(sh.functional, 3).members == h
-        if sh.case == "e_subset_h":
-            assert bits & ~h == 0
-        elif sh.case == "complement_subset_h":
-            assert comp & ~h == 0
-        elif sh.case == "e_disjoint_h":
-            assert bits & h == 0
-        elif sh.case == "h_subset_e":
-            assert h & ~bits == 0
-        else:
-            raise AssertionError(sh.case)
+        _assert_scan_contract(Matroid(3, bits))
 
 
 def test_find_special_hyperplane_random_class_members():
     for m in random_members(5, 40, 97, "ai4"):
-        sh = find_special_hyperplane(m)
-        h = sh.flat.members
-        comp = m.bits ^ ((1 << (1 << m.n)) - 2)
-        ok = {
-            "e_subset_h": m.bits & ~h == 0,
-            "complement_subset_h": comp & ~h == 0,
-            "e_disjoint_h": m.bits & h == 0,
-            "h_subset_e": h & ~m.bits == 0,
-        }[sh.case]
-        assert ok
+        _assert_scan_contract(m)
 
 
 def test_find_special_hyperplane_exhaustion_is_a_falsification_signal():
@@ -102,6 +103,16 @@ def test_decompose_affine_step_validation():
         decompose_affine_step(Matroid(3, 0))
     with pytest.raises(ValueError):
         decompose_affine_step(Matroid(1, 2))
+
+
+def test_decompose_affine_step_disjoint_case_raises():
+    # The translate {3, 5, 9} spans the kernel of 15 but is a proper part
+    # of the complement of the hyperplane the scan finds in it, so it is
+    # no affine geometry of that kernel.
+    with pytest.raises(
+        TheoremViolation, match="disjoint case without an affine geometry"
+    ):
+        decompose_affine_step(units(4))
 
 
 def test_decompose_affine_step_inverts_expansions():
