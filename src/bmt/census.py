@@ -188,27 +188,6 @@ class CrosscheckReport:
     tally: dict
     elapsed: float
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dim": self.dim,
-                "subsets": self.subsets,
-                "discrepancies": list(self.discrepancies),
-                "tally": self.tally,
-                "elapsed": round(self.elapsed, 3),
-            }
-        )
-
-    def table(self) -> str:
-        lines = [
-            f"dim {self.dim}: {self.subsets} subsets, "
-            f"{len(self.discrepancies)} discrepancies, {self.elapsed:.2f}s",
-            f"{'group':<28} {'labeled':>8} {'classes':>8}",
-        ]
-        for key, val in self.tally.items():
-            lines.append(f"{key:<28} {val['labeled']:>8} {val['iso_classes']:>8}")
-        return "\n".join(lines)
-
 
 def point_sets(dims: Iterable[int]) -> Iterator[Matroid]:
     """Every point set of PG(d-1, 2) for each d in dims, in ascending bits."""

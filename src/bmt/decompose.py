@@ -42,7 +42,6 @@ from .detect import (
     find_ai4_violation,
     find_doubling_element,
     i4tf_witness,
-    recognize_affine_geometry,
     recognize_sag,
 )
 
@@ -108,10 +107,6 @@ class AffineStep(NamedTuple):
     witness_functional: int | None = None
 
 
-def _flat_ambient(flat: Flat, emb: LinearMap, n: int) -> Flat:
-    return closure([emb.apply(b) for b in flat.basis], n)
-
-
 def decompose_affine_step(m: Matroid) -> AffineStep:
     """Undo one expansion of an affine member with at least one element."""
     n = m.n
@@ -125,32 +120,20 @@ def decompose_affine_step(m: Matroid) -> AffineStep:
     f_bits = xor_translate(m.bits ^ (1 << z), z)
     f_small, emb0 = _translated_restriction(m, hw, f_bits)
     sh = find_special_hyperplane(f_small)
-    case, hprime = sh.case, _flat_ambient(sh.flat, emb0, n)
+    case, hprime = sh.case, closure([emb0.apply(b) for b in sh.flat.basis], n)
 
     if case == "e_disjoint_h":
-        # The translated set misses the hyperplane entirely.  Either it
-        # spans a smaller flat (drop to the contained case) or it is a
-        # full affine geometry whose own missing hyperplane serves.
+        # The scan tests complement_subset_h first, so the translated set
+        # is a proper part of hw minus H': it spans hw only if the theorem
+        # fails.  Otherwise it spans a smaller flat; drop to that case.
         f_pts = mask_points(f_bits)
-        if rank(f_pts) < n - 1:
-            _, kernel = linear_system_solve(f_pts, [0] * len(f_pts), n)
-            psi = next(
-                p for p in mask_points(span_members(kernel)) if p != phi
-            )
-            kmask = hw.members & functional_kernel(psi, n).members
-            case = "e_subset_h"
-            hprime = closure(mask_points(kmask), n)
-        else:
-            rec = recognize_affine_geometry(f_small)
-            if rec is None or rec[0].dim != n - 1:
-                raise TheoremViolation(
-                    "disjoint case without an affine geometry"
-                )
-            case = "complement_subset_h"
-            hprime = _flat_ambient(rec[1], emb0, n)
-
-    if case == "h_subset_e" and f_bits & ~hprime.members == 0:
+        if rank(f_pts) == n - 1:
+            raise TheoremViolation("disjoint case without an affine geometry")
+        _, kernel = linear_system_solve(f_pts, [0] * len(f_pts), n)
+        psi = next(p for p in mask_points(span_members(kernel)) if p != phi)
+        kmask = hw.members & functional_kernel(psi, n).members
         case = "e_subset_h"
+        hprime = closure(mask_points(kmask), n)
 
     if case == "e_subset_h":
         hpp = closure(list(hprime.basis) + [z], n)
@@ -229,12 +212,10 @@ def _affine_chain(
 ) -> tuple[Matroid, tuple[str, ...], tuple[int, ...], Matroid]:
     # Returns (base, steps, images, raw) where raw is the fold of steps
     # over base and LinearMap(images) carries raw onto m.
+    # Never empty above dimension 1: an expand1 step would empty only an
+    # affine flat, whose translate the scan files under e_subset_h.
     if m.n == 1:
         return m, (), (1,), m
-    if m.bits == 0:
-        steps = ("expand0",) * (m.n - 1)
-        images = tuple(1 << i for i in range(m.n))
-        return Matroid(1, 0), steps, images, m
     step = decompose_affine_step(m)
     base, steps0, images0, raw0 = _affine_chain(step.inner)
     if step.tag == "expand0":
@@ -249,7 +230,6 @@ def _affine_chain(
 class StripResult(NamedTuple):
     count: int
     core: Matroid
-    embed: LinearMap
     trail: tuple[tuple[int, LinearMap], ...]
 
 
@@ -258,8 +238,7 @@ def strip_doublings(m: Matroid) -> StripResult:
 
     Each round removes the least nonelement whose translate fixes E and
     restricts to a hyperplane missing it.  The trail records, outermost
-    first, the removed element and the restriction embedding; embed is
-    their composition, placing the core inside the input space.
+    first, the removed element and the restriction embedding.
     """
     trail: list[tuple[int, LinearMap]] = []
     cur = m
@@ -271,12 +250,7 @@ def strip_doublings(m: Matroid) -> StripResult:
         inner, emb = induced_restriction(cur, h)
         trail.append((w, emb))
         cur = inner
-    images = tuple(1 << i for i in range(cur.n))
-    for _, emb in reversed(trail):
-        images = tuple(emb.apply(p) for p in images)
-    return StripResult(
-        len(trail), cur, LinearMap(cur.n, m.n, images), tuple(trail)
-    )
+    return StripResult(len(trail), cur, tuple(trail))
 
 
 @dataclass(frozen=True)

@@ -365,17 +365,16 @@ def critical_number(m: Matroid) -> int:
     """Least c such that some flat of codimension c misses every element."""
     if m.bits == 0:
         return 0
-    if affine_witness(m) is not None:
-        return 1
     n = m.n
-    # Look for a codimension 2 kernel: a functional pair (w1, w2) where w2
-    # hits every element surviving w1.  Neither 0 nor w1 can solve the
-    # survivor system, so any solution works.
-    for w1 in range(1, 1 << n):
+    # Look for a kernel of codimension at most 2: a functional pair
+    # (w1, w2) where w2 hits every element surviving w1.  Neither 0 nor w1
+    # can solve the survivor system, so any solution works.  At w1 = 0
+    # every element survives, and a solution is an affine witness.
+    for w1 in range(1 << n):
         rows = [p for p in m.points if (w1 & p).bit_count() & 1 == 0]
         sol, _ = linear_system_solve(rows, [1] * len(rows), n)
         if sol is not None:
-            return 2
+            return 2 if w1 else 1
     full = (1 << (1 << n)) - 2
     return n - _largest_flat_dim(m.bits ^ full, m.bits, n)
 
@@ -466,9 +465,8 @@ def recognize_sag(m: Matroid) -> tuple[int, LinearMap] | None:
             fbasis = rref(mask_points(fmask))
             if len(fbasis) != n - 2 or span_members(fbasis) != fmask:
                 continue
-            wide = rref(fbasis + (y,))
-            if len(wide) != n - 1 or (span_members(wide) >> a) & 1:
-                continue
+            # y is off span(F) since F + y holds no 0, and a is off
+            # span(F, y) since E spans: the images form a basis.
             images = fbasis + (y, min(a, b))
             g = LinearMap(n, n, images)
             if apply_map(g, sag(n - 1)) != m:

@@ -178,12 +178,11 @@ def check_special_hyperplane(level: str) -> tuple[bool, str]:
 
 
 def _stabilizer_clauses(m: Matroid) -> bool:
+    # stabilizer_flat itself raises unless the cross-sum clause holds.
     full = (1 << (1 << m.n)) - 2
     st = stabilizer_flat(m)
     u = st.flat.members
     comp = m.bits ^ full
-    if sumset(m.bits, comp) != full ^ u:
-        return False
     if m.size >= 2 and u & ~sumset(m.bits, m.bits):
         return False
     if m.size <= (1 << m.n) - 3 and u & ~sumset(comp, comp):
