@@ -492,3 +492,28 @@ def test_frozen_symmetric_canonical_maps():
     parts = [_form_and_map(m) for m in inputs]
     digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
     assert digest == FROZEN_SYMMETRIC_CANON_DIGEST
+
+
+# sha256 of "form:map images" over _census_relabeled_inputs(), joined by
+# ";".  Every representative of the i4tf_affine d6 and ai4 d5 censuses,
+# relabeled by one random map per dimension, so that the search has to
+# find each form again and its map is pinned too.
+FROZEN_CENSUS_RELABELED_DIGEST = (
+    "a3f5a81769268478269fba9e17af214500b8aa2fe7cf966b59fee04f38638992"
+)
+
+
+def _census_relabeled_inputs():
+    out = []
+    for dim, tag in ((6, "i4tf_affine"), (5, "ai4")):
+        g = random_invertible_map(dim, SEED + 11)
+        out += [apply_map(g, r) for r in enumerate_generated(dim, tag).representatives]
+    return out
+
+
+def test_frozen_census_relabeled_canonical_maps():
+    inputs = _census_relabeled_inputs()
+    assert len(inputs) == 99
+    parts = [_form_and_map(m) for m in inputs]
+    digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
+    assert digest == FROZEN_CENSUS_RELABELED_DIGEST
