@@ -108,13 +108,29 @@ class AffineStep(NamedTuple):
 
 
 def decompose_affine_step(m: Matroid) -> AffineStep:
-    """Undo one expansion of an affine member with at least one element."""
-    n = m.n
-    if n < 2 or m.bits == 0:
+    """Undo one expansion of an affine member with at least one element.
+
+    An affine input that is not a member may fail a step that the theorem
+    guarantees for members; it then raises ValueError naming the triangle
+    or induced I4 it holds.
+    """
+    if m.n < 2 or m.bits == 0:
         raise ValueError("need dimension at least 2 and a nonempty point set")
     phi = affine_witness(m)
     if phi is None:
         raise ValueError("need an affine input")
+    try:
+        return _undo_expansion(m, phi)
+    except TheoremViolation:
+        # Only a failed step pays for the membership test.
+        w = i4tf_witness(m)
+        if w is None:
+            raise
+        raise ValueError(f"need a class member; {w.kind} witness {w.points}") from None
+
+
+def _undo_expansion(m: Matroid, phi: int) -> AffineStep:
+    n = m.n
     hw = functional_kernel(phi, n)
     z = (m.bits & -m.bits).bit_length() - 1
     f_bits = xor_translate(m.bits ^ (1 << z), z)

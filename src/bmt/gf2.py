@@ -345,13 +345,31 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     and the next block of a candidate v reads down the columns, bit q set
     when v is not in column q.  The least block and the candidates giving
     it come from refining the candidates one column at a time: keep those
-    in the column if there are any, else emit a 1 bit.  A node's images are
-    its parent's and their sums with its last vector, so the second half of
-    its columns are the entries at h_q ^ last.  The first half is the
-    parent's least block whenever a vector giving it is still off the
-    span.  While a node's blocks tie the best leaf's, each 1 bit is
-    compared as it is produced, and the node returns at its first larger
-    bit.
+    in the column if there are any, else emit a 1 bit.  While a node's
+    blocks tie the best leaf's, each 1 bit is compared as it is produced,
+    and the node returns at its first larger bit.
+
+    A child's images are its parent's and their sums with its last vector
+    u, so the first half of its columns are its parent's and the second
+    half are the entries at h_q ^ u.  The first half of a child's block is
+    thus the least pattern over the parent's columns among the vectors off
+    the child's span S + {0, u}, S the parent's span, and the parent works
+    it out once for all its children before it descends.  Let C be the
+    parent's least-block candidates, all off S.  A child u keeps the
+    parent's block as its first half exactly when some v in C lies off S
+    and off the coset u + S.  If C meets two or more cosets of S, every
+    child keeps it, with the candidates of C off its span; no child loses
+    there, since a best leaf whose blocks so far equal the parent's has a
+    first half no smaller, the least pattern over fewer vectors.  If C
+    lies in one coset c + S, every child has the span S + {0, c} and the
+    same first half, refined once over the vectors off that span.  When
+    that first half is larger than the best leaf's, the parent returns
+    without calling any child; a new best leaf can only come from below
+    the parent and carries the same first half, so one comparison does.
+    A child then refines only its second half.  A node at depth n - 1 has
+    fixed every block, so its children, the leaves, carry its blocks and
+    have nothing to refine: it compares each with the best leaf in its own
+    loop, with no call per leaf.
 
     Equivalent branches are pruned with the automorphisms of the set that
     leaves tying the best leaf give, as in McKay and Piperno's canonical
@@ -364,14 +382,18 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     leaf with equal blocks, so the subtree under u holds no leaf smaller
     than the best.  The tie therefore returns k: every deeper node returns
     at once without trying its remaining candidates, and node k resumes
-    its loop.  Each tie keeps its map, a list of 2^n images.  A node
-    closes its candidates under the kept maps that fix its basis
-    pointwise, which, being linear, fix its span, and stops once every
-    candidate is covered.  It keeps that list incrementally: a child
-    inherits the ones that also fix its new basis vector, and a node tests
-    only the maps harvested since it last looked, against its basis
-    alone.  It looks right after each child returns, so node k closes its
-    candidates under the map that sent the search back to it.
+    its loop.  Each tie keeps its map, a list of 2^n images, gathered
+    through the inverse of the best leaf's images.  A node closes its
+    candidates under the kept maps that fix its basis pointwise, which,
+    being linear, fix its span, and stops once every candidate is covered.
+    It keeps that list incrementally: a child inherits the ones that also
+    fix its new basis vector, and a node adds the maps harvested since it
+    last looked.  It looks right after each child that did not send the
+    search above it, so each of those maps came from a tie with k at
+    least its depth, whose path shares the node's basis with the best
+    leaf's; the map fixes that basis, and no map needs testing.  Node k
+    thus closes its candidates under the map that sent the search back to
+    it.
 
     The translations that fix the set prune from the start.  Let W = {w :
     E + w = E}, from Translates.stabilizer; a translate table of W gives
@@ -400,97 +422,112 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
 
     best_blocks: list[int] | None = None
     best_hp: list[int] | None = None
+    best_pos: list[int] | None = None
     best_images: list[int] | None = None
     auts: list[list[int]] = []
+    # The least block of each node on the current path.
+    blocks: list[int] = []
+
+    def bound(depth: int) -> int:
+        # Blocks before this one are never worse than the best leaf's.  On
+        # a tie this block may not exceed the best leaf's.
+        if best_blocks is not None and blocks == best_blocks[:depth]:
+            return best_blocks[depth]
+        return (1 << (1 << depth)) - 1
 
     def dfs(
         images: list[int],
         hps: list[int],
         spanmask: int,
-        blocks: list[int],
         fixing: list[list[int]],
         seen: int,
-        pcands: int,
+        cands: int,
+        block: int,
     ) -> int:
         # hps are the parent's images hp[q] of the points q under the
         # chosen preimages, [0] for the root; column q is table[hp[q]], the
-        # v with v ^ hp[q] in the set.  pcands are the parent's candidates
-        # for its block.  fixing holds the automorphisms among auts[:seen]
-        # that fix images.  The return value is the depth at which the
-        # search resumes: a node above it returns at once.
-        nonlocal best_blocks, best_hp, best_images
+        # v with v ^ hp[q] in the set.  block and cands are this node's
+        # first half, from its parent: the least pattern over the parent's
+        # columns among the vectors off the span, and the vectors giving
+        # it (at the root, no bits and every vector).  fixing holds the automorphisms among auts[:seen] that fix
+        # images.  The return value is the depth at which the search
+        # resumes: a node above it returns at once.
+        nonlocal best_blocks, best_hp, best_pos, best_images
         depth = len(images)
-        if depth == n:
-            hp = hps + [h ^ images[-1] for h in hps]
-            # Past the cutoff, a leaf that is not better ties.
-            if best_blocks is None or blocks < best_blocks:
-                best_blocks = list(blocks)
-                best_hp = hp
-                best_images = images[:]
-                return depth
-            phi = [0] * size
-            for q in range(1, size):
-                phi[best_hp[q]] = hp[q]
-            auts.append(phi)
-            # A tie resumes the search where its path leaves the best leaf's.
-            back = 0
-            while images[back] == best_images[back]:
-                back += 1
-            return back
-        last = images[-1] if images else 0
-        half = len(hps)
-        width = 1 << depth
-        # Blocks before this one are never worse than the best leaf's.  On
-        # a tie this block may not exceed the best leaf's, and only a 1 bit
-        # can push it over.
-        if best_blocks is not None and blocks == best_blocks[:depth]:
-            bound = best_blocks[depth]
-        else:
-            bound = (1 << width) - 1
-        cands = full & ~spanmask
-        block = 0
-        # Past the root, the second half of the columns are the translates
-        # by the last vector of the first half's.
-        shifts = (0, last) if depth else (0,)
-        # Over the first half the parent's least block is still least if a
-        # vector giving it is still off the span.  If none is, this block's
-        # first half is larger and loses to a best leaf whose first half is
-        # the parent's block.
-        if kept := pcands & cands:
-            cands = kept
-            block = blocks[-1]
-            shifts = (last,)
-        elif depth and bound >> half == blocks[-1]:
-            return depth
-        q = width - half * len(shifts)
-        for t in shifts:
-            for h in hps:
-                if present := cands & table[h ^ t]:
-                    cands = present
-                    block <<= 1
-                else:
-                    block = (block << 1) | 1
-                    if block > bound >> (width - 1 - q):
-                        return depth
-                q += 1
+        last = images[-1] if depth else 0
+        # The second half of the columns are the translates by the last
+        # vector of the first half's; the root's one column is E itself.
+        # Only a 1 bit can push a tying block over the bound.
+        top = bound(depth)
+        shift = len(hps)
+        for h in hps:
+            shift -= 1
+            if present := cands & table[h ^ last]:
+                cands = present
+                block <<= 1
+            else:
+                block = (block << 1) | 1
+                if block > top >> shift:
+                    return depth
         blocks.append(block)
-        if depth:
-            hps = hps + [h ^ last for h in hps]
+        hp = hps + [h ^ last for h in hps] if depth else hps
+        leaves = depth + 1 == n
+        if not leaves:
+            c = (cands & -cands).bit_length() - 1
+            sm = spanmask | xor_translate(spanmask | 1, c)
+            one_coset = not cands & ~sm
+            if one_coset:
+                # The candidates lie in one coset of the span: every child
+                # has the span sm and this first half.
+                kids = full & ~sm
+                first = 0
+                top = bound(depth + 1)
+                shift = 2 << depth
+                for h in hp:
+                    shift -= 1
+                    if present := kids & table[h]:
+                        kids = present
+                        first <<= 1
+                    else:
+                        first = (first << 1) | 1
+                        if first > top >> shift:
+                            blocks.pop()
+                            return depth
         back = depth
         covered = 0
         while rest := cands & ~covered:
-            low = rest & -rest
-            u = low.bit_length() - 1
+            u = (rest & -rest).bit_length() - 1
             images.append(u)
-            stab = [phi for phi in fixing if phi[u] == u]
-            sm = spanmask | xor_translate(spanmask | 1, u)
-            back = dfs(images, hps, sm, blocks, stab, seen, cands)
+            if leaves:
+                leaf = hp + [h ^ u for h in hp]
+                # Past the cutoff, a leaf that is not better ties.
+                if best_blocks is None or blocks < best_blocks:
+                    best_blocks = blocks[:]
+                    best_hp = leaf
+                    best_pos = [0] * size
+                    for q, x in enumerate(leaf):
+                        best_pos[x] = q
+                    best_images = images[:]
+                    back = n
+                else:
+                    auts.append(list(map(leaf.__getitem__, best_pos)))
+                    # A tie resumes the search where its path leaves the
+                    # best leaf's.
+                    back = 0
+                    while images[back] == best_images[back]:
+                        back += 1
+            else:
+                stab = [phi for phi in fixing if phi[u] == u]
+                if not one_coset:
+                    # The first child, c, has the mask of the coset test.
+                    if u != c:
+                        sm = spanmask | xor_translate(spanmask | 1, u)
+                    kids, first = cands & ~sm, block
+                back = dfs(images, hp, sm, stab, seen, kids, first)
             images.pop()
             if back < depth:
                 break
-            fixing += [
-                phi for phi in auts[seen:] if all(phi[x] == x for x in images)
-            ]
+            fixing += auts[seen:]
             seen = len(auts)
             covered |= cosets[u]
             if fixing:
@@ -505,7 +542,7 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
         blocks.pop()
         return back
 
-    dfs([], [0], 0, [], [], 0, 0)
+    dfs([], [0], 0, [], 0, full, 0)
     assert best_hp is not None and best_images is not None
     canon = 0
     for q in range(1, size):

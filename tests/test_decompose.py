@@ -108,11 +108,18 @@ def test_decompose_affine_step_validation():
 def test_decompose_affine_step_disjoint_case_raises():
     # The translate {3, 5, 9} spans the kernel of 15 but is a proper part
     # of the complement of the hyperplane the scan finds in it, so it is
-    # no affine geometry of that kernel.
+    # no affine geometry of that kernel.  units(4) is an induced I4, not a
+    # member, so the failed step names that witness.
     with pytest.raises(
-        TheoremViolation, match="disjoint case without an affine geometry"
+        ValueError, match=r"induced_is witness \(1, 2, 4, 8\)"
     ):
         decompose_affine_step(units(4))
+    # This affine non-member's translate has no special hyperplane.
+    bad = Matroid(5, sum(1 << p for p in (18, 22, 24, 25, 28, 30)))
+    with pytest.raises(
+        ValueError, match=r"induced_is witness \(18, 22, 25, 30\)"
+    ):
+        decompose_affine_step(bad)
 
 
 def test_decompose_affine_step_inverts_expansions():
