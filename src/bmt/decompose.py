@@ -111,8 +111,8 @@ def decompose_affine_step(m: Matroid) -> AffineStep:
     """Undo one expansion of an affine member with at least one element.
 
     An affine input that is not a member may fail a step that the theorem
-    guarantees for members; it then raises ValueError naming the triangle
-    or induced I4 it holds.
+    guarantees for members; it then raises ValueError naming an induced
+    I4 it holds (an affine set has no triangle).
     """
     if m.n < 2 or m.bits == 0:
         raise ValueError("need dimension at least 2 and a nonempty point set")

@@ -421,7 +421,7 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     cosets = Translates(table.stabilizer(), n)
 
     best_blocks: list[int] | None = None
-    best_hp: list[int] | None = None
+    # best_pos[h] is the point q that the best leaf sends to h.
     best_pos: list[int] | None = None
     best_images: list[int] | None = None
     auts: list[list[int]] = []
@@ -452,7 +452,7 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
         # it (at the root, no bits and every vector).  fixing holds the automorphisms among auts[:seen] that fix
         # images.  The return value is the depth at which the search
         # resumes: a node above it returns at once.
-        nonlocal best_blocks, best_hp, best_pos, best_images
+        nonlocal best_blocks, best_pos, best_images
         depth = len(images)
         last = images[-1] if depth else 0
         # The second half of the columns are the translates by the last
@@ -503,7 +503,6 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
                 # Past the cutoff, a leaf that is not better ties.
                 if best_blocks is None or blocks < best_blocks:
                     best_blocks = blocks[:]
-                    best_hp = leaf
                     best_pos = [0] * size
                     for q, x in enumerate(leaf):
                         best_pos[x] = q
@@ -543,9 +542,8 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
         return back
 
     dfs([], [0], 0, [], 0, full, 0)
-    assert best_hp is not None and best_images is not None
+    assert best_pos is not None and best_images is not None
     canon = 0
-    for q in range(1, size):
-        if (bits >> best_hp[q]) & 1:
-            canon |= 1 << q
+    for x in mask_points(bits):
+        canon |= 1 << best_pos[x]
     return canon, invert(LinearMap(n, n, tuple(best_images)))
