@@ -449,9 +449,10 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
         # v with v ^ hp[q] in the set.  block and cands are this node's
         # first half, from its parent: the least pattern over the parent's
         # columns among the vectors off the span, and the vectors giving
-        # it (at the root, no bits and every vector).  fixing holds the automorphisms among auts[:seen] that fix
-        # images.  The return value is the depth at which the search
-        # resumes: a node above it returns at once.
+        # it (at the root, no bits and every vector).  fixing holds the
+        # automorphisms among auts[:seen] that fix images.  The return
+        # value is the depth at which the search resumes: a node above it
+        # returns at once.
         nonlocal best_blocks, best_pos, best_images
         depth = len(images)
         last = images[-1] if depth else 0
