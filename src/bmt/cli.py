@@ -74,12 +74,13 @@ def _check_prop(
         if aw is not None:
             return True, f"affine: yes (functional {aw})", {"pass": True, "functional": aw}
         w = odd_circuit()
-        if w is not None:
-            w = w.checked(m)
-        pts = " ".join(str(p) for p in w.points) if w else ""
+        if w is None:
+            raise TheoremViolation("non-affine set without an induced odd circuit")
+        w = w.checked(m)
+        pts = " ".join(str(p) for p in w.points)
         return False, f"affine: no (odd circuit {pts})", {
             "pass": False,
-            "witness": _witness_dict(w) if w else None,
+            "witness": _witness_dict(w),
         }
     elif name == "chi":
         value = critical_number(m)
@@ -222,11 +223,6 @@ def _cmd_selftest(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    raw_threads = os.environ.get("BMT_THREADS", "1")
-    try:
-        default_threads = int(raw_threads)
-    except ValueError:
-        raise FormatError(f"BMT_THREADS must be an integer, got {raw_threads!r}") from None
     top = argparse.ArgumentParser(
         prog="bmt", description="binary matroid structure toolkit"
     )
@@ -256,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--class", choices=CLASS_TAGS, required=True)
     p.add_argument("--out", help="directory for representatives and report")
-    p.add_argument("--threads", type=int, default=default_threads)
+    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("random", help="sample class members to BMAT files")

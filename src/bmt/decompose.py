@@ -134,7 +134,8 @@ def _undo_expansion(m: Matroid, phi: int) -> AffineStep:
     hw = functional_kernel(phi, n)
     z = (m.bits & -m.bits).bit_length() - 1
     f_bits = xor_translate(m.bits ^ (1 << z), z)
-    f_small, emb0 = _translated_restriction(m, hw, f_bits)
+    # F = E + z minus 0 lies in hw: <phi, e + z> = 1 + 1 for e, z on E.
+    f_small, emb0 = induced_restriction(Matroid(n, f_bits), hw)
     sh = find_special_hyperplane(f_small)
     case, hprime = sh.case, closure([emb0.apply(b) for b in sh.flat.basis], n)
 
@@ -152,9 +153,8 @@ def _undo_expansion(m: Matroid, phi: int) -> AffineStep:
         hprime = closure(mask_points(kmask), n)
 
     if case == "e_subset_h":
+        # F lies in H' (after the reroute, in hw and ker psi): E is in hpp.
         hpp = closure(list(hprime.basis) + [z], n)
-        if m.bits & ~hpp.members:
-            raise TheoremViolation("contained case lost an element")
         inner, emb = induced_restriction(m, hpp)
         return AffineStep("expand0", inner, emb)
 
@@ -334,15 +334,6 @@ def decompose_i4tf(m: Matroid) -> DecompositionResult:
     return DecompositionResult(DoubledSag(cert, strip.count, par), rest)
 
 
-def _translated_restriction(
-    m: Matroid, h: Flat, shifted_bits: int
-) -> tuple[Matroid, LinearMap]:
-    # Restriction carrying a translated point set that lies inside h.
-    if shifted_bits & ~h.members:
-        raise TheoremViolation("translated set escapes the hyperplane")
-    return induced_restriction(Matroid(m.n, shifted_bits), h)
-
-
 # The layer operation each special hyperplane case undoes.
 _LAYER_STEP = {
     "e_subset_h": "alpha0",
@@ -370,11 +361,11 @@ def decompose_ai4(m: Matroid) -> Certificate | Witness:
             w0 = None
             cur, emb = induced_restriction(cur, sh.flat)
         else:
-            # In the disjoint case off is all of E.
+            # In the disjoint case off is all of E.  off + w0 lies in H.
             off = cur.bits & ~sh.flat.members
             w0 = (off & -off).bit_length() - 1
             shifted = xor_translate(off ^ (1 << w0), w0)
-            cur, emb = _translated_restriction(cur, sh.flat, shifted)
+            cur, emb = induced_restriction(Matroid(cur.n, shifted), sh.flat)
         trail.append((tag, emb, w0))
     steps: list[str] = []
     images: tuple[int, ...] = (1,)

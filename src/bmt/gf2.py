@@ -375,8 +375,8 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     leaves tying the best leaf give, as in McKay and Piperno's canonical
     labelling search ("Practical graph isomorphism, II", 2014).  A tying
     leaf's map phi sends the best leaf's images to its own, so it fixes
-    E, it fixes the images the two paths share, images[:k] with k the
-    first depth where they differ, and it sends the child b of node k on
+    E, it fixes the basis vectors the two paths share, those above the
+    first depth k where they differ, and it sends the child b of node k on
     the best leaf's path to the child u on this one.  phi carries the
     subtree under b, already searched, onto the subtree under u, leaf for
     leaf with equal blocks, so the subtree under u holds no leaf smaller
@@ -423,7 +423,6 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     best_blocks: list[int] | None = None
     # best_pos[h] is the point q that the best leaf sends to h.
     best_pos: list[int] | None = None
-    best_images: list[int] | None = None
     auts: list[list[int]] = []
     # The least block of each node on the current path.
     blocks: list[int] = []
@@ -436,26 +435,26 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
         return (1 << (1 << depth)) - 1
 
     def dfs(
-        images: list[int],
+        last: int,
         hps: list[int],
         spanmask: int,
         fixing: list[list[int]],
-        seen: int,
         cands: int,
         block: int,
     ) -> int:
-        # hps are the parent's images hp[q] of the points q under the
-        # chosen preimages, [0] for the root; column q is table[hp[q]], the
-        # v with v ^ hp[q] in the set.  block and cands are this node's
+        # last is the vector this node adds to its parent's basis, 0 at the
+        # root.  hps are the parent's images hp[q] of the points q under
+        # the chosen preimages, [0] for the root; column q is table[hp[q]],
+        # the v with v ^ hp[q] in the set.  block and cands are this node's
         # first half, from its parent: the least pattern over the parent's
         # columns among the vectors off the span, and the vectors giving
         # it (at the root, no bits and every vector).  fixing holds the
-        # automorphisms among auts[:seen] that fix images.  The return
-        # value is the depth at which the search resumes: a node above it
+        # kept automorphisms that fix the node's basis.  The return value
+        # is the depth at which the search resumes: a node above it
         # returns at once.
-        nonlocal best_blocks, best_pos, best_images
-        depth = len(images)
-        last = images[-1] if depth else 0
+        nonlocal best_blocks, best_pos
+        depth = len(blocks)
+        seen = len(auts)
         # The second half of the columns are the translates by the last
         # vector of the first half's; the root's one column is E itself.
         # Only a 1 bit can push a tying block over the bound.
@@ -498,7 +497,6 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
         covered = 0
         while rest := cands & ~covered:
             u = (rest & -rest).bit_length() - 1
-            images.append(u)
             if leaves:
                 leaf = hp + [h ^ u for h in hp]
                 # Past the cutoff, a leaf that is not better ties.
@@ -507,14 +505,13 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
                     best_pos = [0] * size
                     for q, x in enumerate(leaf):
                         best_pos[x] = q
-                    best_images = images[:]
                     back = n
                 else:
                     auts.append(list(map(leaf.__getitem__, best_pos)))
                     # A tie resumes the search where its path leaves the
                     # best leaf's.
                     back = 0
-                    while images[back] == best_images[back]:
+                    while best_pos[leaf[1 << back]] == 1 << back:
                         back += 1
             else:
                 stab = [phi for phi in fixing if phi[u] == u]
@@ -523,8 +520,7 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
                     if u != c:
                         sm = spanmask | xor_translate(spanmask | 1, u)
                     kids, first = cands & ~sm, block
-                back = dfs(images, hp, sm, stab, seen, kids, first)
-            images.pop()
+                back = dfs(u, hp, sm, stab, kids, first)
             if back < depth:
                 break
             fixing += auts[seen:]
@@ -542,9 +538,9 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
         blocks.pop()
         return back
 
-    dfs([], [0], 0, [], 0, full, 0)
-    assert best_pos is not None and best_images is not None
+    dfs(0, [0], 0, [], full, 0)
+    assert best_pos is not None
     canon = 0
     for x in mask_points(bits):
         canon |= 1 << best_pos[x]
-    return canon, invert(LinearMap(n, n, tuple(best_images)))
+    return canon, LinearMap(n, n, tuple(best_pos[1 << i] for i in range(n)))

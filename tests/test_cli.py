@@ -87,6 +87,27 @@ def test_check_shares_one_odd_circuit_search(c5_file, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_check_affine_member(tmp_path, capsys):
+    # The affine plane AG(2, 2): every point has <4, p> = 1.
+    path = tmp_path / "ag3.bmat"
+    path.write_text("BMAT1 dim=3\npoints=4 5 6 7\n")
+    assert main(["check", "--props", "affine", str(path)]) == 0
+    assert capsys.readouterr().out == "affine: yes (functional 4)\n"
+    assert main(["--json", "check", "--props", "affine", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["props"] == {"affine": {"pass": True, "functional": 4}}
+
+
+def test_check_affine_without_odd_circuit_is_theorem_violation(c5_file, monkeypatch, capsys):
+    # A set with no affine functional has an induced odd circuit; a search
+    # that finds none is a bug, not a verdict.
+    monkeypatch.setattr(cli, "find_induced_odd_circuit", lambda m: None)
+    assert main(["check", "--props", "affine", c5_file]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "without an induced odd circuit" in out.err
+
+
 def test_check_json(pg3_file, capsys):
     assert main(["--json", "check", pg3_file]) == 1
     doc = json.loads(capsys.readouterr().out)
@@ -145,6 +166,26 @@ def test_decompose_json_member(c5_file, capsys):
     # The flag only appears when the input does not span its space.
     assert "rank_deficient" not in doc
     assert doc["certificate"]["base"] == {"kind": "sag", "n": 3}
+
+
+def test_decompose_json_rank_deficient_member(tmp_path, capsys):
+    # c5 spans only a hyperplane of GF(2)^5.
+    path = tmp_path / "c5d5.bmat"
+    path.write_text(serialize_bmat(Matroid(5, circuit(5).bits)))
+    assert main(["--json", "decompose", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["outcome"] == "doubled_sag"
+    assert doc["rank_deficient"] is True
+
+
+def test_decompose_out_writes_witness_of_non_member(tmp_path, pg3_file, capsys):
+    out = tmp_path / "witness.json"
+    assert main(["decompose", pg3_file, "-o", str(out)]) == 1
+    assert json.loads(out.read_text()) == {
+        "outcome": "not_member",
+        "witness": {"kind": "triangle", "points": [1, 2, 3]},
+    }
+    assert capsys.readouterr().out == "NotMember triangle: 1 2 3\n"
 
 
 def test_decompose_json_not_member(pg3_file, capsys):
@@ -304,13 +345,6 @@ def test_random_count_is_bounded(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_bad_threads_environment_is_format_error(monkeypatch, capsys):
-    monkeypatch.setenv("BMT_THREADS", "x")
-    assert main(["enumerate", "--dim", "2", "--class", "ai4"]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: BMT_THREADS must be an integer, got 'x'\n"
-
-
 def test_corrupted_witness_is_theorem_violation(c5_file, pg3_file, monkeypatch, capsys):
     # The points are not elements of either input, so verification fails.
     bad = Witness("induced_is", (1, 2, 4, 8), 4)
@@ -386,11 +420,7 @@ def test_selftest_sweep_names_its_first_failing_set(monkeypatch):
     assert res.detail == f"74 members checked; fails on {first}"
 
 
-def test_threads_default_from_environment(monkeypatch):
-    monkeypatch.setenv("BMT_THREADS", "3")
-    args = _build_parser().parse_args(["enumerate", "--dim", "4", "--class", "ai4"])
-    assert args.threads == 3
-    monkeypatch.delenv("BMT_THREADS")
+def test_threads_default_is_one():
     args = _build_parser().parse_args(["enumerate", "--dim", "4", "--class", "ai4"])
     assert args.threads == 1
 

@@ -196,10 +196,18 @@ def test_certificate_from_json_errors():
     doc["steps"] = ["frobnicate"]
     with pytest.raises(FormatError):
         certificate_from_json(json.dumps(doc))
-    doc = json.loads(good)
-    doc["map"] = [1, 2]
-    with pytest.raises(FormatError):
-        certificate_from_json(json.dumps(doc))
+    for images, match in (
+        ([1, 2], "wrong length"),
+        ([1, 2, 4, 8, "2"], "list of ints"),
+        ([1, 2, 4, 8, 32], "out of range"),
+    ):
+        doc = json.loads(good)
+        doc["map"] = images
+        with pytest.raises(FormatError, match=match):
+            certificate_from_json(json.dumps(doc))
+    onedim = {"base": {"kind": "onedim", "points": [1, 1]}, "steps": [], "map": [1]}
+    with pytest.raises(FormatError, match="duplicate base point"):
+        certificate_from_json(json.dumps(onedim))
     with pytest.raises(FormatError):
         certificate_from_json("not json")
     with pytest.raises(FormatError):

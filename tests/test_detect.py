@@ -51,6 +51,30 @@ def _witness_points_in(m, w):
     assert all(m.contains(p) for p in w.points)
 
 
+# E holds the triangle 1 2 3 and the 5-circuit 1 2 4 8 15, whose span
+# also meets E at 3 and 7.
+_VERIFY_SET = Matroid(4, points_mask((1, 2, 3, 4, 7, 8, 15)))
+
+
+@pytest.mark.parametrize(
+    "kind, points, param",
+    [
+        ("triangle", (1, 1, 2), None),  # a repeated point
+        ("triangle", (1, 4, 5), None),  # 5 is off E
+        ("induced_is", (1, 2, 4), 4),  # param is not the size
+        ("induced_is", (1, 2, 3), 3),  # dependent
+        ("ai4_violation", (1, 2, 3, 4), None),  # dependent
+        ("ai4_violation", (1, 2, 4, 8), None),  # 1 + 2 + 4 = 7 is on E
+        ("odd_circuit", (1, 2, 4, 7), 4),  # even size
+        ("odd_circuit", (1, 2, 4), 3),  # sums to 7, not 0
+        ("odd_circuit", (1, 2, 4, 8, 15), 5),  # chords 3 and 7
+        ("square", (1, 2), None),  # unknown kind
+    ],
+)
+def test_witness_verify_rejects_corrupted_witness(kind, points, param):
+    assert not detect.Witness(kind, points, param).verify(_VERIFY_SET)
+
+
 def test_find_triangle_exhaustive_dim3():
     for bits in range(0, 1 << 8, 2):
         m = Matroid(3, bits)

@@ -6,6 +6,7 @@ standard library's ast module.
 """
 
 import ast
+import importlib
 import pathlib
 
 import bmt
@@ -105,3 +106,23 @@ def test_every_definition_is_used_exported_or_benchmarked():
         if d not in benched and not any(d in r for j, r in enumerate(refs) if j != i)
     ]
     assert dead == []
+
+
+def test_every_traced_name_resolves():
+    # perfbench's tracer wraps each "module.function" it lists; a name that
+    # no longer resolves breaks the benchmark's trace, which tier-1 never
+    # runs.
+    names = []
+    for node in ast.parse((PERFBENCH / "tracer.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in ("SPANNED", "AGGREGATED")
+            for t in node.targets
+        ):
+            names += [elt.value for elt in node.value.elts]
+    assert "gf2.canonical_form_bits" in names and "gf2.rref" in names
+    missing = []
+    for name in names:
+        mod, attr = name.split(".")
+        if not callable(getattr(importlib.import_module(f"bmt.{mod}"), attr, None)):
+            missing.append(name)
+    assert missing == []

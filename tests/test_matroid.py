@@ -139,6 +139,8 @@ def test_parse_bmat_errors():
         "BMAT1 dim=3\npoints=1 1",
         "BMAT1 dim=0\npoints=",
         "BMAT1 dim=3\nbits=zz",
+        "BMAT1 dim=2\nbits=1",  # bit 0 set
+        "BMAT1 dim=1\nbits=4",  # past the dimension
     ]
     for text in bad:
         with pytest.raises(FormatError):
