@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bmt import (
     CensusReport,
@@ -517,3 +518,46 @@ def test_frozen_census_relabeled_canonical_maps():
     parts = [_form_and_map(m) for m in inputs]
     digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
     assert digest == FROZEN_CENSUS_RELABELED_DIGEST
+
+
+# sha256 of "form:map images" over _dense_canon_inputs(), joined by ";".
+# The complements of units(d), d = 4..6, are dense sets with W = {0}
+# under every labeling: random_invertible_map(d, s) for s = 1, 2, 3.
+FROZEN_DENSE_CANON_DIGEST = (
+    "ae9aff2869aad68e1c8d472da9e2399ffcf0bdb53099743f5a3f3c2d4fd78e8b"
+)
+
+
+def _dense_canon_inputs():
+    return [
+        apply_map(random_invertible_map(d, s), complement(units(d)))
+        for d in (4, 5, 6)
+        for s in (1, 2, 3)
+    ]
+
+
+def test_frozen_dense_canonical_maps():
+    inputs = _dense_canon_inputs()
+    assert all(Translates(m.bits, m.n).stabilizer() == 1 for m in inputs)
+    parts = [_form_and_map(m) for m in inputs]
+    digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
+    assert digest == FROZEN_DENSE_CANON_DIGEST
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tag=st.sampled_from(("i4tf_affine", "ai4", "i4tf_nonaffine")),
+    dim=st.sampled_from((5, 6)),
+    seed=st.integers(0, 10**6),
+    relabel=st.integers(0, 10**6),
+)
+def test_canonical_form_ignores_labeling(tag, dim, seed, relabel):
+    # A search that prunes a branch holding the least leaf would return a
+    # form that moves with the labeling.
+    m = random_members(dim, 1, seed, tag)[0]
+    moved = apply_map(random_invertible_map(dim, relabel), m)
+    cm, g = canonical_form(m)
+    cmoved, gmoved = canonical_form(moved)
+    assert cmoved == cm
+    assert apply_map(g, m) == cm
+    assert apply_map(gmoved, moved) == cm
