@@ -86,6 +86,63 @@ class Translates(dict):
         return acc
 
 
+class Kernels(dict):
+    """The kernels of the functionals of GF(2)^n: entry f != 0 is the
+    point set {x : <f, x> = 0}, 0 left out.  The pairing is symmetric, so
+    entry x is also the set of functionals f != 0 that vanish at x.
+
+    Entry 2^i is the low mask of bit i; any other entry f is made on first
+    use from entries f - s and s, s the top bit of f, since <f, x> = 0
+    exactly when <f - s, x> = <s, x>.
+    """
+
+    __slots__ = ("full",)
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.full = (1 << (1 << n)) - 2
+
+    def __missing__(self, f: int) -> int:
+        s = 1 << (f.bit_length() - 1)
+        if f == s:
+            out = _LOW[f.bit_length() - 1] & self.full
+        else:
+            out = self[f ^ s] ^ self[s] ^ self.full
+        self[f] = out
+        return out
+
+
+class Transvections(dict):
+    """The transvections that fix a point set E: entry w != 0 is the set
+    of functionals f != 0 with f(w) = 0 whose map y -> y + f(y) w sends E
+    onto E.
+
+    The map moves a point e of E exactly when f(e) = 1, to e + w.  So it
+    sends E into E, and being a bijection onto E, exactly when f vanishes
+    on E - (E + w), the points e with e + w off E.  The entry is the
+    kernel of w cut by the kernel of each of those points, made on first
+    use; the cutting stops once no functional is left.
+    """
+
+    __slots__ = ("table", "kernels")
+
+    def __init__(self, table: Translates, kernels: Kernels) -> None:
+        super().__init__()
+        self.table = table
+        self.kernels = kernels
+
+    def __missing__(self, w: int) -> int:
+        kernels = self.kernels
+        out = kernels[w]
+        moved = self.table[0] & ~self.table[w]
+        while moved and out:
+            low = moved & -moved
+            moved ^= low
+            out &= kernels[low.bit_length() - 1]
+        self[w] = out
+        return out
+
+
 def coset_leaders(basis: Iterable[int], n: int) -> int:
     """Point set of the v < 2^n least in their coset v + span(basis).
 
@@ -217,8 +274,7 @@ def functional_kernel(w: int, n: int) -> Flat:
         if (w >> i) & 1:
             v |= 1 << pbit
         vecs.append(v)
-    basis = rref(vecs)
-    return Flat(n - 1, basis, span_members(basis))
+    return Flat(n - 1, rref(vecs), Kernels(n)[w])
 
 
 def hyperplane_functional(members: int, n: int) -> int:
@@ -391,20 +447,39 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     last looked.  It looks right after each child that did not send the
     search above it, so each of those maps came from a tie with k at
     least its depth, whose path shares the node's basis with the best
-    leaf's; the map fixes that basis, and no map needs testing.  Node k
-    thus closes its candidates under the map that sent the search back to
-    it.
+    leaf's, or from a probe (below) at the node or under it; either way
+    the map fixes that basis, and no map needs testing.  Node k thus
+    closes its candidates under the map that sent the search back to it.
 
-    The translations that fix the set prune from the start.  Let W = {w :
-    E + w = E}, from Translates.stabilizer; a translate table of W gives
-    each coset u + W.  Let S be the span of a node's basis and u a
-    candidate, so u is off S.  For w in W with u + w off S, take a linear
-    functional f that is 0 on S and on w, with f(u) = 1; it exists since
-    u is off S + {0, w}.  The map x -> x + f(x) w is linear, its own
-    inverse (f(w) = 0), fixes S pointwise, sends E into E (E + w = E) and
-    sends u to u + w.  So every candidate in u + W is in u's orbit, and
-    the closure covers all of u + W for each point it covers; with W =
-    {0} (every odd E) that is u alone.  No pruning here changes the
+    Transvections that fix the set prune before any tie.  For w != 0 and
+    a functional f with f(w) = 0, the map t(y) = y + f(y) w is linear and
+    its own inverse.  It moves a point e exactly when f(e) = 1, to e + w,
+    so it maps E onto E exactly when f also vanishes on D_w = E - (E + w),
+    the points e of E with e + w off E; Transvections gives those f for
+    each w.  Let S be the span of a node's basis, and v, u two of its
+    candidates, with w = v + u.  If one such f also vanishes on S and has
+    f(v) = 1, t fixes S pointwise and sends v to u, so like a tying
+    leaf's map it carries the subtree under the child v onto the subtree
+    under the child u.  Before it descends into u, a node probes each
+    child v it has searched with one AND of three functional masks: those
+    vanishing on S (ann, which a child gets as its parent's cut by the
+    kernel of its vector), those for w, and those with f(v) = 1.  On a
+    hit it skips u and keeps t with the tie maps, so that the closure
+    carries u's orbit further.  Keeping t is sound: it fixes S pointwise,
+    and the nodes that read it from the maps harvested since they last
+    looked are this node and its ancestors, whose spans lie in S, so t
+    fixes each one's basis.
+
+    The translations that fix the set are the case D_w = {}, and they
+    prune whole cosets at once.  Let W = {w : E + w = E}, from
+    Translates.stabilizer; a translate table of W gives each coset u + W.
+    Let u be a candidate of a node with span S, so u is off S.  For w in
+    W with u + w off S, take f zero on S and on w, with f(u) = 1; it
+    exists since u is off S + {0, w}.  Then t fixes S pointwise, maps E
+    onto E and sends u to u + w.  So every candidate in u + W is in u's
+    orbit, and the closure covers all of u + W for each point it covers;
+    with W = {0} (every odd E) that is u alone.  The probe finds the same
+    maps, but one candidate at a time.  No pruning here changes the
     answer: a pruned branch is the image of an earlier sibling under a
     map fixing E and the basis, so that sibling already holds an equal
     leaf earlier in depth first order, and the first least leaf of the
@@ -419,6 +494,8 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     # the set's translation stabilizer W.
     table = Translates(bits, n)
     cosets = Translates(table.stabilizer(), n)
+    kernels = Kernels(n)
+    transvections = Transvections(table, kernels)
 
     best_blocks: list[int] | None = None
     # best_pos[h] is the point q that the best leaf sends to h.
@@ -438,6 +515,7 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
         last: int,
         hps: list[int],
         spanmask: int,
+        ann: int,
         fixing: list[list[int]],
         cands: int,
         block: int,
@@ -448,8 +526,9 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
         # the v with v ^ hp[q] in the set.  block and cands are this node's
         # first half, from its parent: the least pattern over the parent's
         # columns among the vectors off the span, and the vectors giving
-        # it (at the root, no bits and every vector).  fixing holds the
-        # kept automorphisms that fix the node's basis.  The return value
+        # it (at the root, no bits and every vector).  ann is the set of
+        # functionals that vanish on the span, and fixing holds the kept
+        # automorphisms that fix the node's basis.  The return value
         # is the depth at which the search resumes: a node above it
         # returns at once.
         nonlocal best_blocks, best_pos
@@ -495,6 +574,9 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
                             return depth
         back = depth
         covered = 0
+        # (v, the functionals in ann with f(v) = 1) for each child v that
+        # this node has searched.
+        searched: list[tuple[int, int]] = []
         while rest := cands & ~covered:
             u = (rest & -rest).bit_length() - 1
             if leaves:
@@ -514,13 +596,26 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
                     while best_pos[leaf[1 << back]] == 1 << back:
                         back += 1
             else:
-                stab = [phi for phi in fixing if phi[u] == u]
-                if not one_coset:
-                    # The first child, c, has the mask of the coset test.
-                    if u != c:
-                        sm = spanmask | xor_translate(spanmask | 1, u)
-                    kids, first = cands & ~sm, block
-                back = dfs(u, hp, sm, stab, kids, first)
+                for v, moves in searched:
+                    # A transvection fixing E and the span that sends v
+                    # to u carries v's subtree onto u's: keep it, skip u.
+                    w = u ^ v
+                    if fs := transvections[w] & moves:
+                        f = (fs & -fs).bit_length() - 1
+                        auts.append(
+                            [y ^ w * ((f & y).bit_count() & 1) for y in range(size)]
+                        )
+                        break
+                else:
+                    stab = [phi for phi in fixing if phi[u] == u]
+                    if not one_coset:
+                        # The first child, c, has the mask of the coset test.
+                        if u != c:
+                            sm = spanmask | xor_translate(spanmask | 1, u)
+                        kids, first = cands & ~sm, block
+                    kid_ann = ann & kernels[u]
+                    back = dfs(u, hp, sm, kid_ann, stab, kids, first)
+                    searched.append((u, ann ^ kid_ann))
             if back < depth:
                 break
             fixing += auts[seen:]
@@ -538,7 +633,7 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
         blocks.pop()
         return back
 
-    dfs(0, [0], 0, [], full, 0)
+    dfs(0, [0], 0, full, [], full, 0)
     assert best_pos is not None
     canon = 0
     for x in mask_points(bits):

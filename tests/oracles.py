@@ -55,6 +55,20 @@ def hyperplanes(n: int):
         yield w, sum(1 << p for p in range(1, 1 << n) if parity(w & p) == 0)
 
 
+def brute_transvections(bits: int, n: int, w: int) -> int:
+    """Mask of the functionals f != 0 with <f, w> = 0 whose transvection
+    y -> y + <f, y> w maps the point set onto itself, by trying every f."""
+    pts = points_of(bits)
+    out = 0
+    for f in range(1, 1 << n):
+        if parity(f & w):
+            continue
+        image = {p ^ w if parity(f & p) else p for p in pts}
+        if image == set(pts):
+            out |= 1 << f
+    return out
+
+
 def brute_translate(mask: int, x: int) -> int:
     """Image of a bit set under p -> p ^ x, one set bit at a time."""
     out = 0

@@ -3,13 +3,15 @@
 Each test runs one suite, prints a single pass/fail line, and enforces
 the stated runtime budget where one exists.  Suites are cached so the
 whole gate runs each computation once.  One more budget bounds the
-slowest seeded canonical form with no translation symmetry.
+slowest seeded canonical form with no translation symmetry, and another
+the canonical form of a dense set with none.
 """
 
 import time
 from functools import lru_cache
 
-from bmt import canonical_form, random_members
+from bmt import apply_map, canonical_form, complement, random_members, units
+from bmt.gf2 import random_invertible_map
 from bmt.selftest import (
     CRITERIA,
     check_affine_characterization,
@@ -100,6 +102,18 @@ def test_canon_budget_trivial_stabilizer_d7():
         elapsed = time.perf_counter() - start
         print(f"canon draw {i} took {elapsed:.2f}s")
         assert elapsed < 2.0, f"canon of draw {i} took {elapsed:.1f}s"
+
+
+def test_canon_budget_dense_trivial_stabilizer_d6():
+    # The 57-point complement of units(6) has no translation symmetry;
+    # under each of three labelings its canonical form takes under 1 second.
+    for s in (1, 2, 3):
+        m = apply_map(random_invertible_map(6, s), complement(units(6)))
+        start = time.perf_counter()
+        canonical_form(m)
+        elapsed = time.perf_counter() - start
+        print(f"canon of labeling {s} took {elapsed:.2f}s")
+        assert elapsed < 1.0, f"canon of labeling {s} took {elapsed:.1f}s"
 
 
 def test_selftest_report_aggregates_all_criteria():

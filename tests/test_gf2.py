@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bmt.gf2 import (
+    Kernels,
     LinearMap,
     Translates,
+    Transvections,
     canonical_form_bits,
     closure,
     compose,
@@ -27,6 +29,7 @@ from bmt.gf2 import (
 from oracles import (
     brute_canonical,
     brute_rank,
+    brute_transvections,
     gl_images,
     hyperplanes,
     independent,
@@ -108,6 +111,18 @@ def test_functional_kernel_and_hyperplanes():
             assert flat.dim == n - 1
             assert flat.members == members
             assert hyperplane_functional(members, n) == w
+
+
+def test_transvections_match_brute_force():
+    # Every w, in the stabilizer or not, on sampled sets at d <= 4, the
+    # empty set and the full set among them.
+    rng = random.Random(SEED + 11)
+    for n in (1, 2, 3, 4):
+        full = (1 << (1 << n)) - 2
+        for bits in [0, full] + [random_bits(rng, n) for _ in range(10)]:
+            got = Transvections(Translates(bits, n), Kernels(n))
+            for w in range(1, 1 << n):
+                assert got[w] == brute_transvections(bits, n, w), (n, bits, w)
 
 
 def test_linear_system_solve_consistent():
