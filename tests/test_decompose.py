@@ -378,3 +378,48 @@ def test_decompose_outputs_frozen():
         )
     digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
     assert digest == FROZEN_DECOMPOSE_DIGEST
+
+
+# sha256 of decompose_i4tf's outcome on _membership_inputs(), one record
+# per input, joined by ";": the witness or certificate, the restriction,
+# or the message of a TheoremViolation.  Frozen from the code that ran the
+# induced-I4 search before any certification.
+FROZEN_MEMBERSHIP_DIGEST = "30fd28b5eb99538f655933a644c524223558676b06784b53b75dca25369c63c7"
+
+
+def _ag_half(n, rng):
+    pts = list(ag(n).points)
+    half = Matroid(n, sum(1 << p for p in rng.sample(pts, len(pts) // 2)))
+    return apply_map(random_invertible_map(n, rng), half)
+
+
+def _membership_inputs():
+    # Every set through dim 3, then per dim 5..9 members of each class,
+    # the same with their least point dropped (near misses of the class), uniform random sets and halves of AG(n, 2), whose
+    # failed certifications run longest.
+    rng = random.Random(SEED + 9)
+    out = [Matroid(n, bits) for n in (1, 2, 3) for bits in range(0, 1 << (1 << n), 2)]
+    for n in range(5, 10):
+        for tag in ("i4tf_affine", "i4tf_nonaffine", "ai4"):
+            members = random_members(n, 4, SEED + n, tag)
+            out += members + [Matroid(n, m.bits & (m.bits - 1)) for m in members]
+        out += [Matroid(n, random_bits(rng, n)) for _ in range(3)]
+        out += [_ag_half(n, rng) for _ in range(6)]
+    return out
+
+
+def test_decompose_i4tf_membership_frozen():
+    parts = []
+    for m in _membership_inputs():
+        try:
+            res = decompose_i4tf(m)
+        except TheoremViolation as exc:
+            parts.append(f"violation:{exc}")
+            continue
+        r = res.restriction
+        parts.append(
+            f"{_outcome_record(res.outcome)}|{r.matroid.n}:{r.matroid.bits}:"
+            f"{r.embed.images}:{r.rank_deficient}"
+        )
+    digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
+    assert digest == FROZEN_MEMBERSHIP_DIGEST
