@@ -22,6 +22,7 @@ from typing import Iterable, Iterator
 
 from .construct import STEP_OPS, Certificate, sag
 from .decompose import NotMember, decompose_i4tf
+from .detect import i4tf_witness
 from .errors import TheoremViolation
 from .gf2 import compose, identity_map, invert, random_invertible_map, rank
 from .matroid import Matroid, canonical_form, is_affine, serialize_bmat
@@ -198,12 +199,14 @@ def exhaustive_crosscheck(dim: int) -> CrosscheckReport:
     """Sweep every subset at dim <= 4 through the decomposer and tally the
     members, split by affineness and rank.
 
-    Membership is the decomposer's outcome, which rests on the detector's
-    witness search; a second detector call could never disagree with it.
-    A subset counts as a discrepancy only when the decomposer raises its
-    falsification signal, as on a certificate that fails to replay or a
-    non-affine member that is no doubled series extension.  That is all
-    this sweep can catch.
+    Membership is the decomposer's outcome.  A member's evidence is a
+    replayed certificate, which never consults the detector, so the
+    detector checks it independently: a subset counts as a discrepancy
+    when i4tf_witness finds a triangle or an induced I4 in a certified
+    member, or when the decomposer raises its falsification signal, as on
+    a certificate that fails to replay or a non-affine member that is no
+    doubled series extension.  A non-member's witness already comes from
+    the detector and is verified there.
     """
     if dim > 4:
         raise ValueError("exhaustive sweep is capped at dimension 4")
@@ -220,15 +223,19 @@ def exhaustive_crosscheck(dim: int) -> CrosscheckReport:
         except TheoremViolation:
             bad.append(m.bits)
             continue
-        if not isinstance(outcome, NotMember):
-            if is_affine(m):
-                key = "i4tf_affine"
-            elif rank(m.points) == dim:
-                key = "i4tf_nonaffine"
-            else:
-                key = "i4tf_nonaffine_rank_deficient"
-            labeled[key] += 1
-            groups[key].add(_canon_bits(m))
+        if isinstance(outcome, NotMember):
+            continue
+        if i4tf_witness(m) is not None:
+            bad.append(m.bits)
+            continue
+        if is_affine(m):
+            key = "i4tf_affine"
+        elif rank(m.points) == dim:
+            key = "i4tf_nonaffine"
+        else:
+            key = "i4tf_nonaffine_rank_deficient"
+        labeled[key] += 1
+        groups[key].add(_canon_bits(m))
     tally = {
         k: {"labeled": labeled[k], "iso_classes": len(groups[k])} for k in groups
     }

@@ -18,6 +18,7 @@ from typing import NamedTuple
 from .errors import TheoremViolation
 from .gf2 import (
     Flat,
+    Kernels,
     LinearMap,
     closure,
     functional_kernel,
@@ -41,6 +42,7 @@ from .detect import (
     Witness,
     find_ai4_violation,
     find_doubling_element,
+    find_triangle,
     i4tf_witness,
     recognize_sag,
 )
@@ -74,21 +76,25 @@ def find_special_hyperplane(m: Matroid) -> SpecialHyperplane:
     first holding relation among: E inside H, complement inside H, E
     disjoint from H, H inside E.  Inputs satisfying the size 4 freeness
     condition always have one; exhaustion is a falsification signal.
+    Each kernel is read as a point mask from one Kernels table; only the
+    returned one is built as a Flat with a reduced basis.
     """
     n = m.n
-    full = (1 << (1 << n)) - 2
-    comp = m.bits ^ full
+    kernels = Kernels(n)
+    comp = m.bits ^ kernels.full
     for w in range(1, 1 << n):
-        flat = functional_kernel(w, n)
-        members = flat.members
+        members = kernels[w]
         if m.bits & ~members == 0:
-            return SpecialHyperplane(flat, "e_subset_h", w)
-        if comp & ~members == 0:
-            return SpecialHyperplane(flat, "complement_subset_h", w)
-        if m.bits & members == 0:
-            return SpecialHyperplane(flat, "e_disjoint_h", w)
-        if members & ~m.bits == 0:
-            return SpecialHyperplane(flat, "h_subset_e", w)
+            case = "e_subset_h"
+        elif comp & ~members == 0:
+            case = "complement_subset_h"
+        elif m.bits & members == 0:
+            case = "e_disjoint_h"
+        elif members & ~m.bits == 0:
+            case = "h_subset_e"
+        else:
+            continue
+        return SpecialHyperplane(functional_kernel(w, n), case, w)
     raise TheoremViolation("no hyperplane compares with the point set")
 
 
@@ -232,7 +238,7 @@ def _affine_chain(
     # affine flat, whose translate the scan files under e_subset_h.
     if m.n == 1:
         return m, (), (1,), m
-    step = decompose_affine_step(m)
+    step = _undo_expansion(m, affine_witness(m))
     base, steps0, images0, raw0 = _affine_chain(step.inner)
     if step.tag == "expand0":
         lifted = _extend_basis([step.embed.apply(p) for p in images0], m.n)
@@ -301,11 +307,30 @@ def decompose_i4tf(m: Matroid) -> DecompositionResult:
     doubling certificate replays to the restriction onto the span of E,
     reported alongside.  Non-members yield a triangle or an induced
     independent 4-set, verified against m before it is returned.
+
+    A set with a triangle goes straight to the witness search.  Any other
+    set is certified first: the class is exactly the sets that replay
+    from a chain or a tower, so a replayed certificate proves membership
+    and the induced-I4 search runs only when certification fails.  If
+    that search finds nothing either, the decomposer's TheoremViolation
+    is raised.
     """
     rest = restrict_to_closure(m)
-    w = i4tf_witness(m)
-    if w is not None:
-        return DecompositionResult(NotMember(w.checked(m)), rest)
+    if find_triangle(m) is not None:
+        w = i4tf_witness(m)
+    else:
+        try:
+            return DecompositionResult(_certify(m, rest), rest)
+        except TheoremViolation:
+            w = i4tf_witness(m)
+            if w is None:
+                raise
+    return DecompositionResult(NotMember(w.checked(m)), rest)
+
+
+def _certify(m: Matroid, rest: RestrictionResult) -> AffineChain | DoubledSag:
+    # Raises TheoremViolation where a step the theorem guarantees for
+    # members fails, or the certificate does not replay.
     core = rest.matroid
     if is_affine(core):
         base, steps, images, _ = _affine_chain(core)
@@ -315,7 +340,7 @@ def decompose_i4tf(m: Matroid) -> DecompositionResult:
         cert = Certificate(base, steps, LinearMap(m.n, m.n, images))
         if cert.replay() != m:
             raise TheoremViolation("expansion chain fails to replay")
-        return DecompositionResult(AffineChain(cert), rest)
+        return AffineChain(cert)
     strip = strip_doublings(core)
     rec = recognize_sag(strip.core)
     if rec is None:
@@ -331,7 +356,7 @@ def decompose_i4tf(m: Matroid) -> DecompositionResult:
     )
     if cert.replay() != core:
         raise TheoremViolation("doubling tower fails to replay")
-    return DecompositionResult(DoubledSag(cert, strip.count, par), rest)
+    return DoubledSag(cert, strip.count, par)
 
 
 # The layer operation each special hyperplane case undoes.

@@ -92,12 +92,18 @@ class Witness:
 
 
 def find_triangle(m: Matroid) -> Witness | None:
-    """First pair of elements whose sum is also an element."""
-    pts = m.points
-    for i, a in enumerate(pts):
-        for b in pts[i + 1:]:
-            if m.contains(a ^ b):
-                return Witness("triangle", (a, b, a ^ b))
+    """First pair of elements, in lex order, whose sum is also an element.
+
+    The first pair of a triangle is its two least points, so the witness
+    lists the triangle in ascending order.  The partners b of a are the
+    points of E and E + a, read off one translate and cut to b > a.
+    """
+    bits = m.bits
+    for a in m.points:
+        pair = bits & xor_translate(bits, a) & ~((2 << a) - 1)
+        if pair:
+            b = (pair & -pair).bit_length() - 1
+            return Witness("triangle", (a, b, a ^ b))
     return None
 
 

@@ -3,14 +3,22 @@
 Each test runs one suite, prints a single pass/fail line, and enforces
 the stated runtime budget where one exists.  Suites are cached so the
 whole gate runs each computation once.  One more budget bounds the
-slowest seeded canonical form with no translation symmetry, and another
-the canonical form of a dense set with none.
+slowest seeded canonical form with no translation symmetry, another
+the canonical form of a dense set with none, and a third the
+decomposition of seeded members at dims 9 and 11.
 """
 
 import time
 from functools import lru_cache
 
-from bmt import apply_map, canonical_form, complement, random_members, units
+from bmt import (
+    apply_map,
+    canonical_form,
+    complement,
+    decompose_i4tf,
+    random_members,
+    units,
+)
 from bmt.gf2 import random_invertible_map
 from bmt.selftest import (
     CRITERIA,
@@ -125,6 +133,20 @@ def test_selftest_report_aggregates_all_criteria():
         line = res.line()
         assert line.startswith("pass")
         assert res.name in line
+
+
+def test_decompose_budget_members_d9_d11():
+    # A member is decided by its replayed certificate, without the
+    # induced-I4 search.  Three seeded affine members at dim 9 decompose
+    # under 0.25 seconds together, three nonaffine ones at dim 11 under 0.8.
+    for args, budget in (((9, 3, 7, "i4tf_affine"), 0.25), ((11, 3, 7, "i4tf_nonaffine"), 0.8)):
+        members = random_members(*args)
+        start = time.perf_counter()
+        for m in members:
+            decompose_i4tf(m)
+        elapsed = time.perf_counter() - start
+        print(f"decompose of {args} took {elapsed:.2f}s")
+        assert elapsed < budget, f"decompose of {args} took {elapsed:.1f}s"
 
 
 # (name, passed, detail) of each full-level row, frozen from the code

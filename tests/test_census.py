@@ -29,6 +29,8 @@ from bmt import (
     sag,
     units,
 )
+from bmt import census
+from bmt.detect import Witness
 from bmt.gf2 import Translates, random_invertible_map
 
 SEED = 6007
@@ -121,6 +123,20 @@ def test_exhaustive_crosscheck_dim3():
         "labeled": 0,
         "iso_classes": 0,
     }
+
+
+def test_exhaustive_crosscheck_counts_detector_witness_on_member(monkeypatch):
+    # A member's certificate never consults the detector, so a witness the
+    # detector reports in it is a discrepancy, and the member goes untallied.
+    target = ag(3).bits
+    real = census.i4tf_witness
+    fake = Witness("triangle", (1, 2, 3))
+    monkeypatch.setattr(
+        census, "i4tf_witness", lambda m: fake if m.bits == target else real(m)
+    )
+    rep = exhaustive_crosscheck(3)
+    assert rep.discrepancies == (target,)
+    assert rep.tally["i4tf_affine"] == {"labeled": 63, "iso_classes": 5}
 
 
 def test_exhaustive_crosscheck_dim4():

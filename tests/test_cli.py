@@ -12,6 +12,7 @@ from bmt import (
     Matroid,
     canonical_form,
     circuit,
+    from_points,
     parse_bmat,
     pg,
     random_members,
@@ -345,11 +346,15 @@ def test_random_count_is_bounded(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_corrupted_witness_is_theorem_violation(c5_file, pg3_file, monkeypatch, capsys):
-    # The points are not elements of either input, so verification fails.
+def test_corrupted_witness_is_theorem_violation(tmp_path, pg3_file, monkeypatch, capsys):
+    # {2, 3, 4, 8} is a triangle free non-member, so decompose asks the
+    # witness search once certification fails.  Point 1 is not an element,
+    # nor are 1, 2, 4 in pg(3) a triangle: verification fails on both.
+    i4_file = tmp_path / "i4.bmat"
+    i4_file.write_text(serialize_bmat(from_points(4, (2, 3, 4, 8))))
     bad = Witness("induced_is", (1, 2, 4, 8), 4)
     monkeypatch.setattr(decompose, "i4tf_witness", lambda m: bad)
-    assert main(["decompose", c5_file]) == 3
+    assert main(["decompose", str(i4_file)]) == 3
     assert "fails to verify" in capsys.readouterr().err
     monkeypatch.setattr(cli, "find_triangle", lambda m: Witness("triangle", (1, 2, 4)))
     assert main(["check", pg3_file]) == 3

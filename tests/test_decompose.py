@@ -27,6 +27,7 @@ from bmt import (
     find_doubling_element,
     find_special_hyperplane,
     functional_kernel,
+    i4tf_witness,
     is_affine,
     pg,
     random_members,
@@ -280,6 +281,36 @@ def test_decompose_i4tf_replays_random_members(case):
         core = out.certificate.replay()
         assert core == res.restriction.matroid
         assert res.restriction.embed.apply_mask(core.bits) == m.bits
+
+
+@st.composite
+def _decide_inputs(draw):
+    # At dims 5..8: random sets of density 1/2 down to 1/16, halves of
+    # AG(n, 2), and class members, whole or with their least point dropped.
+    n = draw(st.integers(5, 8))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("random", "ag_half", "i4tf_affine", "i4tf_nonaffine", "ai4")))
+    if kind == "random":
+        bits = random_bits(rng, n)
+        for _ in range(draw(st.integers(0, 3))):
+            bits &= random_bits(rng, n)
+        return Matroid(n, bits)
+    if kind == "ag_half":
+        return _ag_half(n, rng)
+    m = random_members(n, 1, rng.randrange(2**32), kind)[0]
+    return Matroid(n, m.bits & (m.bits - 1)) if draw(st.booleans()) else m
+
+
+@settings(max_examples=150, deadline=None)
+@given(_decide_inputs())
+def test_decompose_i4tf_refutes_exactly_where_detector_finds_witness(m):
+    # Certification decides members without the detector; a non-member's
+    # witness is still the detector's.
+    w = i4tf_witness(m)
+    out = decompose_i4tf(m).outcome
+    assert isinstance(out, NotMember) == (w is not None)
+    if w is not None:
+        assert out.witness == w
 
 
 def test_decompose_i4tf_rank_deficient_member():
