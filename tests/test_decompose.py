@@ -214,6 +214,14 @@ def test_decompose_returns_only_verified_witnesses(monkeypatch):
         decompose_ai4(pg(3))
 
 
+def test_decompose_i4tf_reraises_when_detector_finds_nothing(monkeypatch):
+    # units(5) is triangle free and fails certification.  With no witness
+    # to refute it, the decomposer's own violation comes out.
+    monkeypatch.setattr(decompose, "i4tf_witness", lambda m: None)
+    with pytest.raises(TheoremViolation, match="disjoint case without an affine geometry"):
+        decompose_i4tf(units(5))
+
+
 def test_decompose_i4tf_exhaustive_dim3():
     # Members at dim 3 are exactly the triangle-free sets, and every
     # certificate must replay bit for bit.
