@@ -434,8 +434,9 @@ def _ag_half(n, rng):
 
 def _membership_inputs():
     # Every set through dim 3, then per dim 5..9 members of each class,
-    # the same with their least point dropped (near misses of the class), uniform random sets and halves of AG(n, 2), whose
-    # failed certifications run longest.
+    # the same with their least point dropped (near misses of the class),
+    # uniform random sets, and halves of AG(n, 2), whose failed
+    # certifications run longest.
     rng = random.Random(SEED + 9)
     out = [Matroid(n, bits) for n in (1, 2, 3) for bits in range(0, 1 << (1 << n), 2)]
     for n in range(5, 10):
