@@ -1,7 +1,9 @@
 """Command line driver: verbs, exit codes, machine readable output."""
 
+import hashlib
 import json
 import os.path
+import random
 import subprocess
 import sys
 
@@ -23,6 +25,7 @@ from bmt import census, cli, decompose, selftest
 from bmt.cli import MAX_COUNT, _build_parser, main
 from bmt.detect import Witness
 from bmt.errors import TheoremViolation
+from oracles import random_affine_bits, random_bits
 
 
 @pytest.fixture()
@@ -145,6 +148,40 @@ def test_check_malformed_file(tmp_path, capsys):
     path.write_text("BMAT9 dim=3\npoints=1\n")
     assert main(["check", str(path)]) == 2
 
+
+# sha256 of the stdout and exit code of `--json check` with every
+# property but chi on _check_inputs(), one record per input, joined by
+# ";".  Frozen from the code whose callers checked the dimension before
+# each induced independent set search.
+FROZEN_CHECK_DIGEST = "1d4addd9472a25bdfd38b71f46e434274c7a7ba8c81b66fcced43de9780d9ce2"
+ALL_SEARCHES = "triangle,i4,i3,ai4,affine,oddcircuit"
+
+
+def _check_inputs():
+    # Every set through dim 3, then per dim 4..6 members of each class,
+    # uniform random sets and random parts of an affine hyperplane's
+    # complement (halves of AG(n - 1, 2), relabeled).
+    rng = random.Random(7)
+    out = [Matroid(n, bits) for n in (1, 2, 3) for bits in range(0, 1 << (1 << n), 2)]
+    for n in (4, 5, 6):
+        for tag in ("i4tf_affine", "i4tf_nonaffine", "ai4"):
+            out += random_members(n, 2, 100 + n, tag)
+        out += [Matroid(n, random_bits(rng, n)) for _ in range(3)]
+        out += [Matroid(n, random_affine_bits(rng, n)) for _ in range(3)]
+    return out
+
+
+def test_check_all_searches_frozen(tmp_path, monkeypatch, capsys):
+    # The path is printed in the JSON, so it is the same on every run.
+    monkeypatch.chdir(tmp_path)
+    parts = []
+    for m in _check_inputs():
+        with open("set.bmat", "w") as fh:
+            fh.write(serialize_bmat(m))
+        code = main(["--json", "check", "set.bmat", "--props", ALL_SEARCHES])
+        parts.append(f"{code}:{capsys.readouterr().out}")
+    digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
+    assert digest == FROZEN_CHECK_DIGEST
 
 def test_decompose_member_line(c5_file, capsys):
     assert main(["decompose", c5_file]) == 0

@@ -38,7 +38,7 @@ from bmt import (
 )
 from bmt.errors import TheoremViolation
 from bmt.gf2 import random_invertible_map
-from oracles import brute_ai4_violation, brute_triangle, random_bits
+from oracles import brute_ai4_violation, brute_triangle, random_affine_bits, random_bits
 
 SEED = 5003
 
@@ -463,3 +463,46 @@ def test_decompose_i4tf_membership_frozen():
         )
     digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
     assert digest == FROZEN_MEMBERSHIP_DIGEST
+
+
+# sha256 of decompose_affine_step's result on _affine_step_inputs(), one
+# record per input, joined by ";": the step, or the type and message of
+# what it raised.  Frozen from the code whose fallback called i4tf_witness.
+FROZEN_AFFINE_STEP_DIGEST = "e811cf558aa529b8cf71c22639aca91545a4afd6c97f30e3ad36ccfe9415dca2"
+
+
+def _affine_step_inputs():
+    # Every affine set through dim 4, the empty set and dim 1 included
+    # (both refused), then per dim 5..6 affine members, the same less their
+    # least point, and random parts of an affine hyperplane's complement,
+    # most of which are non-members.
+    rng = random.Random(SEED + 10)
+    out = []
+    for n in (1, 2, 3, 4):
+        sets = set()
+        for w in range(1, 1 << n):
+            side = [p for p in range(1, 1 << n) if (w & p).bit_count() & 1]
+            for sub in range(1 << len(side)):
+                sets.add(sum(1 << p for i, p in enumerate(side) if sub >> i & 1))
+        out += [Matroid(n, bits) for bits in sorted(sets)]
+    for n in (5, 6):
+        members = random_members(n, 6, SEED + n, "i4tf_affine")
+        out += members + [Matroid(n, m.bits & (m.bits - 1)) for m in members]
+        out += [Matroid(n, random_affine_bits(rng, n)) for _ in range(12)]
+    return out
+
+
+def test_decompose_affine_step_frozen():
+    parts = []
+    for m in _affine_step_inputs():
+        try:
+            s = decompose_affine_step(m)
+        except (ValueError, TheoremViolation) as exc:
+            parts.append(f"{type(exc).__name__}:{exc}")
+            continue
+        parts.append(
+            f"{s.tag}:{s.inner.n}:{s.inner.bits}:{s.embed.images}:"
+            f"{s.new_point}:{s.witness_functional}"
+        )
+    digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
+    assert digest == FROZEN_AFFINE_STEP_DIGEST

@@ -51,8 +51,8 @@ def _witness_points_in(m, w):
     assert all(m.contains(p) for p in w.points)
 
 
-# E holds the triangle 1 2 3 and the 5-circuit 1 2 4 8 15, whose span
-# also meets E at 3 and 7.
+# E holds the triangle 1 2 3, an induced odd circuit, and the 5-circuit
+# 1 2 4 8 15, whose span also meets E at 3 and 7.
 _VERIFY_SET = Matroid(4, points_mask((1, 2, 3, 4, 7, 8, 15)))
 
 
@@ -69,6 +69,10 @@ _VERIFY_SET = Matroid(4, points_mask((1, 2, 3, 4, 7, 8, 15)))
         ("odd_circuit", (1, 2, 4), 3),  # sums to 7, not 0
         ("odd_circuit", (1, 2, 4, 8, 15), 5),  # chords 3 and 7
         ("square", (1, 2), None),  # unknown kind
+        ("induced_is", (1, 2), 2),  # the span holds 3, on E
+        ("odd_circuit", (1, 2, 3), None),  # no param
+        ("odd_circuit", (1, 2, 3), 5),  # param is not the size
+        ("odd_circuit", (1,), 1),  # too small
     ],
 )
 def test_witness_verify_rejects_corrupted_witness(kind, points, param):
