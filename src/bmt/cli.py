@@ -62,9 +62,9 @@ def _check_prop(
     if name == "triangle":
         w = find_triangle(m)
     elif name == "i4":
-        w = find_induced_is(m, 4) if m.n >= 4 else None
+        w = find_induced_is(m, 4)
     elif name == "i3":
-        w = find_induced_is(m, 3) if m.n >= 3 else None
+        w = find_induced_is(m, 3)
     elif name == "ai4":
         w = find_ai4_violation(m)
     elif name == "oddcircuit":

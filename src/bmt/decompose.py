@@ -42,8 +42,8 @@ from .detect import (
     Witness,
     find_ai4_violation,
     find_doubling_element,
+    find_induced_is,
     find_triangle,
-    i4tf_witness,
     recognize_sag,
 )
 
@@ -118,7 +118,8 @@ def decompose_affine_step(m: Matroid) -> AffineStep:
 
     An affine input that is not a member may fail a step that the theorem
     guarantees for members; it then raises ValueError naming an induced
-    I4 it holds (an affine set has no triangle).
+    I4 it holds.  An affine set has no triangle, so only the induced-I4
+    search runs.
     """
     if m.n < 2 or m.bits == 0:
         raise ValueError("need dimension at least 2 and a nonempty point set")
@@ -129,7 +130,7 @@ def decompose_affine_step(m: Matroid) -> AffineStep:
         return _undo_expansion(m, phi)
     except TheoremViolation:
         # Only a failed step pays for the membership test.
-        w = i4tf_witness(m)
+        w = find_induced_is(m, 4)
         if w is None:
             raise
         raise ValueError(f"need a class member; {w.kind} witness {w.points}") from None
@@ -308,21 +309,20 @@ def decompose_i4tf(m: Matroid) -> DecompositionResult:
     reported alongside.  Non-members yield a triangle or an induced
     independent 4-set, verified against m before it is returned.
 
-    A set with a triangle goes straight to the witness search.  Any other
-    set is certified first: the class is exactly the sets that replay
-    from a chain or a tower, so a replayed certificate proves membership
-    and the induced-I4 search runs only when certification fails.  If
-    that search finds nothing either, the decomposer's TheoremViolation
-    is raised.
+    The triangle search runs once, and a triangle it finds is the witness.
+    Any other set is certified first: the class is exactly the sets that
+    replay from a chain or a tower, so a replayed certificate proves
+    membership and the induced-I4 search runs only when certification
+    fails.  If that search finds nothing either, the decomposer's
+    TheoremViolation is raised.
     """
     rest = restrict_to_closure(m)
-    if find_triangle(m) is not None:
-        w = i4tf_witness(m)
-    else:
+    w = find_triangle(m)
+    if w is None:
         try:
             return DecompositionResult(_certify(m, rest), rest)
         except TheoremViolation:
-            w = i4tf_witness(m)
+            w = find_induced_is(m, 4)
             if w is None:
                 raise
     return DecompositionResult(NotMember(w.checked(m)), rest)

@@ -9,11 +9,11 @@ deterministic for a given input.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 from .errors import TheoremViolation
 from .gf2 import (
-    EMPTY_FLAT,
     Flat,
     LinearMap,
     Translates,
@@ -41,7 +41,6 @@ __all__ = [
     "i4tf_witness",
     "critical_number",
     "find_doubling_element",
-    "recognize_affine_geometry",
     "recognize_sag",
 ]
 
@@ -60,9 +59,16 @@ class Witness:
             return False
         if self.kind == "triangle":
             return len(pts) == 3 and pts[0] ^ pts[1] ^ pts[2] == 0
-        if self.kind == "induced_is":
+        if self.kind in ("induced_is", "odd_circuit"):
+            # k independent points, or an odd circuit: k points of rank
+            # k - 1 that sum to 0, k odd.  Either way the points' span
+            # meets E in exactly those points.
+            k = len(pts)
+            circuit = self.kind == "odd_circuit"
             basis = rref(pts)
-            if len(basis) != len(pts) or self.param != len(pts):
+            if self.param != k or len(basis) != (k - 1 if circuit else k):
+                return False
+            if circuit and (k % 2 == 0 or functools.reduce(operator.xor, pts, 0)):
                 return False
             return span_members(basis) & m.bits == points_mask(pts)
         if self.kind == "ai4_violation":
@@ -70,17 +76,6 @@ class Witness:
                 return False
             total = pts[0] ^ pts[1] ^ pts[2] ^ pts[3]
             return not any(m.contains(total ^ p) for p in pts)
-        if self.kind == "odd_circuit":
-            k = self.param
-            if k is None or len(pts) != k or k % 2 == 0 or k < 3:
-                return False
-            total = 0
-            for p in pts:
-                total ^= p
-            basis = rref(pts)
-            if total != 0 or len(basis) != k - 1:
-                return False
-            return span_members(basis) & m.bits == points_mask(pts)
         return False
 
     def checked(self, m: Matroid) -> Witness:
@@ -181,6 +176,9 @@ def _doubling_group(t: Translates) -> tuple[int, int]:
 def find_induced_is(m: Matroid, s: int) -> Witness | None:
     """Least s elements that are independent and span no other element.
 
+    None when s > n, since no s points of an n-dimensional space are
+    independent; s < 2 raises ValueError.
+
     A DFS over ascending choices: it meets s-sets in lex order, so the
     first witness it finds is the least one.  A node keeps the elements y
     above its last choice with y + v off E for every v in the span of the
@@ -198,8 +196,10 @@ def find_induced_is(m: Matroid, s: int) -> Witness | None:
     under + w, and such a set of three or more elements is dependent.
     With W = {0} every candidate is a least point.
     """
-    if not 2 <= s <= m.n:
-        raise ValueError(f"need 2 <= s <= {m.n}, got {s}")
+    if s < 2:
+        raise ValueError(f"need s >= 2, got {s}")
+    if s > m.n:
+        return None
     if s == 4 and m.n in _TABLE_DIMS:
         quad = _first_quad(m, "span")
         return Witness("induced_is", quad, 4) if quad else None
@@ -299,14 +299,10 @@ def i4tf_witness(m: Matroid) -> Witness | None:
     """Membership test for the triangle free, induced-I4 free class.
 
     Returns a triangle or an induced independent 4-subset when m is not a
-    member, None when it is.  Triangles are checked first.
+    member, None when it is.  Triangles are checked first; below dimension
+    4 there is no induced I4 to find.
     """
-    w = find_triangle(m)
-    if w is not None:
-        return w
-    if m.n < 4:
-        return None
-    return find_induced_is(m, 4)
+    return find_triangle(m) or find_induced_is(m, 4)
 
 
 def find_induced_odd_circuit(m: Matroid) -> Witness | None:
@@ -419,26 +415,6 @@ def find_doubling_element(m: Matroid) -> tuple[int, Flat] | None:
         return None
     w = (ws & -ws).bit_length() - 1
     return w, functional_kernel(w & -w, m.n)
-
-
-def recognize_affine_geometry(m: Matroid) -> tuple[Flat, Flat] | None:
-    """Detect E = (its span) minus a hyperplane of the span.
-
-    Returns (span flat, removed hyperplane flat) or None.  A single
-    element is the degenerate case with an empty hyperplane.
-    """
-    if m.bits == 0:
-        return None
-    span = closure(m.points, m.n)
-    if m.size != 1 << (span.dim - 1):
-        return None
-    missing = span.members ^ m.bits
-    if span.dim == 1:
-        return span, EMPTY_FLAT
-    mbasis = rref(mask_points(missing))
-    if len(mbasis) != span.dim - 1 or span_members(mbasis) != missing:
-        return None
-    return span, Flat(span.dim - 1, mbasis, missing)
 
 
 def recognize_sag(m: Matroid) -> tuple[int, LinearMap] | None:

@@ -199,10 +199,6 @@ def check_stabilizer_clauses(level: str) -> tuple[bool, str]:
     return bad is None, f"{checked} matroids checked" + _fails_on(bad)
 
 
-def _is_free(m: Matroid, s: int) -> bool:
-    return s > m.n or find_induced_is(m, s) is None
-
-
 @_check
 def check_preservation(level: str) -> tuple[bool, str]:
     """Doubling and 1-expansion must preserve their stated properties."""
@@ -218,7 +214,10 @@ def check_preservation(level: str) -> tuple[bool, str]:
         if find_triangle(m) is None and find_triangle(d) is not None:
             bad = ("triangle", m)
             break
-        if any(_is_free(m, s) and not _is_free(d, s) for s in (3, 4)):
+        if any(
+            find_induced_is(m, s) is None and find_induced_is(d, s) is not None
+            for s in (3, 4)
+        ):
             bad = ("independent-set", m)
             break
     if bad is None:
@@ -229,7 +228,10 @@ def check_preservation(level: str) -> tuple[bool, str]:
             if not is_affine(e):
                 bad = ("affine", m)
                 break
-            if any(_is_free(m, s) and not _is_free(e, s) for s in (4, 5)):
+            if any(
+                find_induced_is(m, s) is None and find_induced_is(e, s) is not None
+                for s in (4, 5)
+            ):
                 bad = ("independent-set", m)
                 break
     return bad is None, f"2x{count} inputs" + ("" if bad is None else f"; fails {bad}")
@@ -258,11 +260,11 @@ def check_alpha_beta_ledger(level: str) -> tuple[bool, str]:
         for g in alphas:
             if free and find_ai4_violation(g(m)) is not None:
                 fails.append("t2")
-            if _is_free(m, 3) != _is_free(g(m), 3):
+            if (find_induced_is(m, 3) is None) != (find_induced_is(g(m), 3) is None):
                 fails.append("t3")
-        if not _is_free(beta1(m), 3):
+        if find_induced_is(beta1(m), 3) is not None:
             fails.append("t6")
-        if m.bits != closure(m.points, m.n).members and _is_free(beta0(m), 3):
+        if m.bits != closure(m.points, m.n).members and find_induced_is(beta0(m), 3) is None:
             fails.append("t7")
         if fails:
             break
@@ -275,7 +277,7 @@ def check_alpha_beta_ledger(level: str) -> tuple[bool, str]:
             )
             base = Matroid(1, 0) if rng.random() < 0.5 else Matroid(1, 2)
             m = Certificate(base, steps, random_invertible_map(n, rng)).replay()
-            if find_ai4_violation(m) is not None or not _is_free(m, 3):
+            if find_ai4_violation(m) is not None or find_induced_is(m, 3) is not None:
                 fails.append("t4-precondition")
                 break
             for g in betas:
@@ -283,7 +285,7 @@ def check_alpha_beta_ledger(level: str) -> tuple[bool, str]:
                     fails.append("t4")
             while True:
                 cand = _random_set(rng, 3, 4)
-                if not _is_free(cand, 3):
+                if find_induced_is(cand, 3) is not None:
                     break
             for g in betas:
                 if find_ai4_violation(g(cand)) is None:
@@ -321,7 +323,7 @@ def check_sag_properties(level: str) -> tuple[bool, str]:
         if len(m.points) != (1 << (n - 1)) + 1:
             bad = (n, "size")
             break
-        if find_triangle(m) is not None or find_induced_is(m, 4) is not None:
+        if i4tf_witness(m) is not None:
             bad = (n, "freeness")
             break
         if critical_number(m) != 2:

@@ -385,12 +385,13 @@ def test_random_count_is_bounded(tmp_path, capsys):
 
 def test_corrupted_witness_is_theorem_violation(tmp_path, pg3_file, monkeypatch, capsys):
     # {2, 3, 4, 8} is a triangle free non-member, so decompose asks the
-    # witness search once certification fails.  Point 1 is not an element,
-    # nor are 1, 2, 4 in pg(3) a triangle: verification fails on both.
+    # induced-I4 search once certification fails.  Point 1 is not an
+    # element, nor are 1, 2, 4 in pg(3) a triangle: verification fails on
+    # both.
     i4_file = tmp_path / "i4.bmat"
     i4_file.write_text(serialize_bmat(from_points(4, (2, 3, 4, 8))))
     bad = Witness("induced_is", (1, 2, 4, 8), 4)
-    monkeypatch.setattr(decompose, "i4tf_witness", lambda m: bad)
+    monkeypatch.setattr(decompose, "find_induced_is", lambda m, s: bad)
     assert main(["decompose", str(i4_file)]) == 3
     assert "fails to verify" in capsys.readouterr().err
     monkeypatch.setattr(cli, "find_triangle", lambda m: Witness("triangle", (1, 2, 4)))

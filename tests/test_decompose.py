@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bmt import decompose
+from bmt import decompose, detect
 from bmt import (
     AffineChain,
     DoubledSag,
@@ -206,7 +206,7 @@ def test_decompose_returns_only_verified_witnesses(monkeypatch):
     # Points 1, 2, 4 are in pg(3) but are no triangle: both decomposers
     # must refuse to hand such a witness on.
     fake = Witness("triangle", (1, 2, 4))
-    monkeypatch.setattr(decompose, "i4tf_witness", lambda m: fake)
+    monkeypatch.setattr(decompose, "find_triangle", lambda m: fake)
     with pytest.raises(TheoremViolation, match="fails to verify"):
         decompose_i4tf(pg(3))
     monkeypatch.setattr(decompose, "find_ai4_violation", lambda m: fake)
@@ -217,9 +217,28 @@ def test_decompose_returns_only_verified_witnesses(monkeypatch):
 def test_decompose_i4tf_reraises_when_detector_finds_nothing(monkeypatch):
     # units(5) is triangle free and fails certification.  With no witness
     # to refute it, the decomposer's own violation comes out.
-    monkeypatch.setattr(decompose, "i4tf_witness", lambda m: None)
+    monkeypatch.setattr(decompose, "find_induced_is", lambda m, s: None)
     with pytest.raises(TheoremViolation, match="disjoint case without an affine geometry"):
         decompose_i4tf(units(5))
+
+
+def test_decompose_i4tf_runs_the_triangle_search_once(monkeypatch):
+    # pg(3) is refuted by its triangle; a relabeled AG half is triangle
+    # free and refuted by an induced I4 once certification fails.
+    calls = []
+    real = detect.find_triangle
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(decompose, "find_triangle", counted)
+    monkeypatch.setattr(detect, "find_triangle", counted)
+    half = _ag_half(6, random.Random(SEED + 11))
+    for m, kind in ((pg(3), "triangle"), (half, "induced_is")):
+        calls.clear()
+        assert decompose_i4tf(m).outcome.witness.kind == kind
+        assert calls == [m]
 
 
 def test_decompose_i4tf_exhaustive_dim3():

@@ -22,7 +22,6 @@ from bmt import (
     is_affine,
     pg,
     random_members,
-    recognize_affine_geometry,
     recognize_sag,
     sag,
     stabilizer_flat,
@@ -51,9 +50,10 @@ def _witness_points_in(m, w):
     assert all(m.contains(p) for p in w.points)
 
 
-# E holds the triangle 1 2 3, an induced odd circuit, and the 5-circuit
-# 1 2 4 8 15, whose span also meets E at 3 and 7.
-_VERIFY_SET = Matroid(4, points_mask((1, 2, 3, 4, 7, 8, 15)))
+# E holds the triangle 1 2 3, an induced odd circuit, the induced even
+# circuit 1 4 8 13, and the 5-circuit 1 2 4 8 15, whose span also meets E
+# at 3 and 7.
+_VERIFY_SET = Matroid(4, points_mask((1, 2, 3, 4, 7, 8, 13, 15)))
 
 
 @pytest.mark.parametrize(
@@ -73,10 +73,18 @@ _VERIFY_SET = Matroid(4, points_mask((1, 2, 3, 4, 7, 8, 15)))
         ("odd_circuit", (1, 2, 3), None),  # no param
         ("odd_circuit", (1, 2, 3), 5),  # param is not the size
         ("odd_circuit", (1,), 1),  # too small
+        ("odd_circuit", (1, 4, 8, 13), 4),  # even size, span meets E in it
     ],
 )
 def test_witness_verify_rejects_corrupted_witness(kind, points, param):
     assert not detect.Witness(kind, points, param).verify(_VERIFY_SET)
+
+
+def test_witness_verify_rejects_odd_set_that_is_no_circuit():
+    # Five points of rank 4 whose span meets E in just them, but whose one
+    # dependency is the triangle 1 2 3: they sum to 12, not 0.
+    m = Matroid(4, points_mask((1, 2, 3, 4, 8)))
+    assert not detect.Witness("odd_circuit", (1, 2, 3, 4, 8), 5).verify(m)
 
 
 def test_find_triangle_exhaustive_dim3():
@@ -131,8 +139,19 @@ def test_find_induced_is_matches_brute():
 def test_find_induced_is_validation():
     with pytest.raises(ValueError):
         find_induced_is(Matroid(3, 0), 1)
-    with pytest.raises(ValueError):
-        find_induced_is(Matroid(3, 0), 4)
+    assert find_induced_is(Matroid(3, 0), 4) is None
+
+
+def test_find_induced_is_above_the_dimension_finds_nothing():
+    # No s points of an n-dimensional space are independent when s > n.
+    for n in (1, 2, 3):
+        for bits in range(0, 1 << (1 << n), 2):
+            m = Matroid(n, bits)
+            for s in range(n + 1, 6):
+                assert find_induced_is(m, s) is None
+            for s in (-1, 0, 1):
+                with pytest.raises(ValueError):
+                    find_induced_is(m, s)
 
 
 def test_find_ai4_violation_matches_brute():
@@ -436,23 +455,3 @@ def test_recognize_sag():
     assert recognize_sag(pg(3)) is None
     assert recognize_sag(ag(4)) is None
     assert recognize_sag(double(sag(3))) is None
-
-
-def test_recognize_affine_geometry():
-    rng = random.Random(SEED + 9)
-    for n in (2, 3, 4):
-        a = ag(n)
-        rec = recognize_affine_geometry(a)
-        assert rec is not None
-        span, kernel = rec
-        assert span.dim == n and kernel.dim == n - 1
-        # E is exactly the span minus the kernel hyperplane.
-        assert a.bits == span.members & ~kernel.members
-        moved = apply_map(random_invertible_map(n, rng), a)
-        rec2 = recognize_affine_geometry(moved)
-        assert rec2 is not None
-        span2, kernel2 = rec2
-        assert moved.bits == span2.members & ~kernel2.members
-    assert recognize_affine_geometry(pg(3)) is None
-    assert recognize_affine_geometry(sag(3)) is None
-    assert recognize_affine_geometry(units(3)) is None
