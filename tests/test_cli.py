@@ -160,7 +160,7 @@ ALL_SEARCHES = "triangle,i4,i3,ai4,affine,oddcircuit"
 def _check_inputs():
     # Every set through dim 3, then per dim 4..6 members of each class,
     # uniform random sets and random parts of an affine hyperplane's
-    # complement (halves of AG(n - 1, 2), relabeled).
+    # complement (about half of a copy of AG(n - 1, 2)).
     rng = random.Random(7)
     out = [Matroid(n, bits) for n in (1, 2, 3) for bits in range(0, 1 << (1 << n), 2)]
     for n in (4, 5, 6):
@@ -182,6 +182,7 @@ def test_check_all_searches_frozen(tmp_path, monkeypatch, capsys):
         parts.append(f"{code}:{capsys.readouterr().out}")
     digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
     assert digest == FROZEN_CHECK_DIGEST
+
 
 def test_decompose_member_line(c5_file, capsys):
     assert main(["decompose", c5_file]) == 0
