@@ -33,7 +33,6 @@ from .matroid import (
     RestrictionResult,
     affine_witness,
     induced_restriction,
-    is_affine,
     restrict_to_closure,
     xor_translate,
 )
@@ -231,15 +230,16 @@ def _extend_basis(vectors: list[int], count: int) -> tuple[int, ...]:
 
 
 def _affine_chain(
-    m: Matroid,
+    m: Matroid, phi: int | None = None
 ) -> tuple[Matroid, tuple[str, ...], tuple[int, ...], Matroid]:
     # Returns (base, steps, images, raw) where raw is the fold of steps
-    # over base and LinearMap(images) carries raw onto m.
+    # over base and LinearMap(images) carries raw onto m.  phi is m's
+    # affine witness when the caller has solved for it already.
     # Never empty above dimension 1: an expand1 step would empty only an
     # affine flat, whose translate the scan files under e_subset_h.
     if m.n == 1:
         return m, (), (1,), m
-    step = _undo_expansion(m, affine_witness(m))
+    step = _undo_expansion(m, affine_witness(m) if phi is None else phi)
     base, steps0, images0, raw0 = _affine_chain(step.inner)
     if step.tag == "expand0":
         lifted = _extend_basis([step.embed.apply(p) for p in images0], m.n)
@@ -332,8 +332,9 @@ def _certify(m: Matroid, rest: RestrictionResult) -> AffineChain | DoubledSag:
     # Raises TheoremViolation where a step the theorem guarantees for
     # members fails, or the certificate does not replay.
     core = rest.matroid
-    if is_affine(core):
-        base, steps, images, _ = _affine_chain(core)
+    phi = affine_witness(core)
+    if phi is not None:
+        base, steps, images, _ = _affine_chain(core, phi)
         if core.n < m.n:
             steps = steps + ("expand0",) * (m.n - core.n)
             images = _extend_basis([rest.embed.apply(p) for p in images], m.n)

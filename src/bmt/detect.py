@@ -428,13 +428,17 @@ def recognize_sag(m: Matroid) -> tuple[int, LinearMap] | None:
         return None
     if closure(m.points, n).dim != n:
         return None
-    pts = m.points
+    bits = m.bits
     t = m.translates
-    for i, a in enumerate(pts):
-        for b in pts[i + 1:]:
+    for a in m.points:
+        # The partners b > a with a + b off E: the points of E off E + a,
+        # read off one translate as find_triangle does.
+        partners = bits & ~t[a] & ~((2 << a) - 1)
+        while partners:
+            low = partners & -partners
+            partners ^= low
+            b = low.bit_length() - 1
             y = a ^ b
-            if m.contains(y):
-                continue
             # (E - a - b) + y, with a + y = b and b + y = a.
             fmask = t[y] ^ (1 << a) ^ (1 << b)
             # A flat is fixed by translation by any of its points; most
@@ -449,7 +453,7 @@ def recognize_sag(m: Matroid) -> tuple[int, LinearMap] | None:
                 continue
             # y is off span(F) since F + y holds no 0, and a is off
             # span(F, y) since E spans: the images form a basis.
-            images = fbasis + (y, min(a, b))
+            images = fbasis + (y, a)
             g = LinearMap(n, n, images)
             if apply_map(g, sag(n - 1)) != m:
                 raise TheoremViolation("series extension recognition failed")

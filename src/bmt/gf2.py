@@ -48,6 +48,21 @@ def xor_translate(mask: int, x: int) -> int:
     return mask
 
 
+def translate_list(mask: int, n: int) -> list[int]:
+    """Every translate of a point set of GF(2)^n: entry v is
+    xor_translate(mask, v).
+
+    Built by doubling: the entries 2^i..2^(i+1)-1 are those below 2^i, each
+    moved by one delta swap by 2^i.
+    """
+    out = [mask]
+    for i in range(n):
+        s = 1 << i
+        low = _LOW[i]
+        out += [((m >> s) & low) | ((m & low) << s) for m in out]
+    return out
+
+
 class Translates(dict):
     """The translates of a point set E of GF(2)^n: entry v is E + v,
     xor_translate(E, v).
@@ -121,12 +136,13 @@ class Transvections(dict):
     sends E into E, and being a bijection onto E, exactly when f vanishes
     on E - (E + w), the points e with e + w off E.  The entry is the
     kernel of w cut by the kernel of each of those points, made on first
-    use; the cutting stops once no functional is left.
+    use; the cutting stops once no functional is left.  table gives the
+    translates of E, as a Translates table or a translate_list.
     """
 
     __slots__ = ("table", "kernels")
 
-    def __init__(self, table: Translates, kernels: Kernels) -> None:
+    def __init__(self, table: Translates | list[int], kernels: Kernels) -> None:
         super().__init__()
         self.table = table
         self.kernels = kernels
@@ -397,13 +413,21 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     The search enumerates preimage bases depth first and keeps only choices
     that are optimal block by block.  A node at depth d has fixed the images
     h_q of the points q < 2^d.  Its column q is the translate E + h_q, the
-    vectors v with v ^ h_q in the set, read from one Translates table of E,
-    and the next block of a candidate v reads down the columns, bit q set
-    when v is not in column q.  The least block and the candidates giving
-    it come from refining the candidates one column at a time: keep those
-    in the column if there are any, else emit a 1 bit.  While a node's
-    blocks tie the best leaf's, each 1 bit is compared as it is produced,
-    and the node returns at its first larger bit.
+    vectors v with v ^ h_q in the set, read from one flat list of all 2^n
+    translates of E (translate_list), and the next block of a candidate v
+    reads down the columns, bit q set when v is not in column q.  The
+    least block and the candidates giving it come from refining the
+    candidates one column at a time: keep those in the column if there
+    are any, else emit a 1 bit.  While a node's blocks tie the best leaf's,
+    each 1 bit is compared as it is produced, and the node returns at its
+    first larger bit.
+
+    The list is built whole, by doubling, before the search starts.  A
+    search reads most of the translates anyway (a lazily filled table
+    ended up holding 50-100% of them on the census forms and 64-81% on
+    the d10 and d12 towers), and a list entry made in bulk costs one delta
+    swap, where a lazily made one costs a dict miss, a __missing__ call
+    and an xor_translate call.
 
     A child's images are its parent's and their sums with its last vector
     u, so the first half of its columns are its parent's and the second
@@ -471,8 +495,9 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     fixes each one's basis.
 
     The translations that fix the set are the case D_w = {}, and they
-    prune whole cosets at once.  Let W = {w : E + w = E}, from
-    Translates.stabilizer; a translate table of W gives each coset u + W.
+    prune whole cosets at once.  Let W = {w : E + w = E}, the v whose
+    entry in the list of translates is E itself; a second flat list, of
+    the translates of W, gives each coset u + W.
     Let u be a candidate of a node with span S, so u is off S.  For w in
     W with u + w off S, take f zero on S and on w, with f(u) = 1; it
     exists since u is off S + {0, w}.  Then t fixes S pointwise, maps E
@@ -491,9 +516,9 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     if bits == 0 or bits == full:
         return bits, identity_map(n)
     # Entry v is the column E + v; entry v of cosets is the coset v + W of
-    # the set's translation stabilizer W.
-    table = Translates(bits, n)
-    cosets = Translates(table.stabilizer(), n)
+    # the set's translation stabilizer W = {w : E + w = E}.
+    table = translate_list(bits, n)
+    cosets = translate_list(points_mask(v for v, t in enumerate(table) if t == bits), n)
     kernels = Kernels(n)
     transvections = Transvections(table, kernels)
 

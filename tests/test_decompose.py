@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bmt import decompose, detect
+from bmt import decompose, detect, matroid
 from bmt import (
     AffineChain,
     DoubledSag,
@@ -239,6 +239,31 @@ def test_decompose_i4tf_runs_the_triangle_search_once(monkeypatch):
         calls.clear()
         assert decompose_i4tf(m).outcome.witness.kind == kind
         assert calls == [m]
+
+
+def test_decompose_i4tf_solves_each_affine_witness_once(monkeypatch):
+    # The core's witness is solved once, by _certify, and handed to the
+    # chain; below it each inner matroid above dimension 1 is solved once,
+    # and each expand1 step solves its replayed copy once to align images.
+    calls = []
+    real = matroid.affine_witness
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(decompose, "affine_witness", counted)
+    monkeypatch.setattr(matroid, "affine_witness", counted)
+    members = random_members(6, 20, 17, "i4tf_affine")
+    members.append(expand0(expand0(ag(3))))  # rank deficient
+    for m in members:
+        calls.clear()
+        res = decompose_i4tf(m)
+        core = res.restriction.matroid
+        assert isinstance(res.outcome, AffineChain)
+        assert calls.count(core) == 1
+        expand1 = res.outcome.certificate.steps.count("expand1")
+        assert len(calls) == 1 + max(core.n - 2, 0) + expand1
 
 
 def test_decompose_i4tf_exhaustive_dim3():

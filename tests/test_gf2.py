@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bmt.gf2 import (
     Kernels,
@@ -24,6 +24,7 @@ from bmt.gf2 import (
     rank,
     rref,
     span_members,
+    translate_list,
     xor_translate,
 )
 from oracles import (
@@ -115,14 +116,16 @@ def test_functional_kernel_and_hyperplanes():
 
 def test_transvections_match_brute_force():
     # Every w, in the stabilizer or not, on sampled sets at d <= 4, the
-    # empty set and the full set among them.
+    # empty set and the full set among them, over the lazy table and the
+    # flat list of translates.
     rng = random.Random(SEED + 11)
     for n in (1, 2, 3, 4):
         full = (1 << (1 << n)) - 2
         for bits in [0, full] + [random_bits(rng, n) for _ in range(10)]:
-            got = Transvections(Translates(bits, n), Kernels(n))
-            for w in range(1, 1 << n):
-                assert got[w] == brute_transvections(bits, n, w), (n, bits, w)
+            for translates in (Translates, translate_list):
+                got = Transvections(translates(bits, n), Kernels(n))
+                for w in range(1, 1 << n):
+                    assert got[w] == brute_transvections(bits, n, w), (n, bits, w)
 
 
 def test_linear_system_solve_consistent():
@@ -187,11 +190,11 @@ def test_random_invertible_map_seeding():
 
 
 @st.composite
-def _table_cases(draw):
+def _table_cases(draw, max_n=10):
     # Any bit set over the 2^n positions (point 0 included), with the
     # empty and full sets drawn on purpose, and half of the others
     # doubled so that E + 2^(n-1) = E.
-    n = draw(st.integers(1, 10))
+    n = draw(st.integers(1, max_n))
     full = (1 << (1 << n)) - 1
     mask = draw(st.sampled_from((0, full)) | st.integers(0, full))
     if n > 1 and draw(st.booleans()):
@@ -210,6 +213,19 @@ def test_translates_match_xor_translate(case):
     assert table.stabilizer() == points_mask(v for v in range(1 << n) if want[v] == mask)
     assert [table[v] for v in range(1 << n)] == want
     assert len(table) == 1 << n
+
+
+@settings(max_examples=30, deadline=None)
+@given(_table_cases(max_n=8))
+@example((0x6666, 4))  # W = {0, 4, 8, 12}
+def test_translate_list_matches_xor_translate(case):
+    # The flat list canonical_form_bits reads its columns from, and the
+    # stabilizer it reads off that list.
+    mask, n = case
+    flat = translate_list(mask, n)
+    assert flat == [xor_translate(mask, v) for v in range(1 << n)]
+    wmask = points_mask(v for v, t in enumerate(flat) if t == mask)
+    assert wmask == Translates(mask, n).stabilizer()
 
 
 def test_canonical_form_bits_exhaustive_dim3():
