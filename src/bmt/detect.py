@@ -17,7 +17,7 @@ from .gf2 import (
     Flat,
     LinearMap,
     Translates,
-    closure,
+    _LOW,
     coset_leaders,
     functional_kernel,
     linear_system_solve,
@@ -421,41 +421,48 @@ def recognize_sag(m: Matroid) -> tuple[int, LinearMap] | None:
     """Detect a relabeled series extension of an affine geometry.
 
     Returns (parameter, map g) with the replayed shape mapping onto m
-    under g, or None.
+    under g, or None.  The pair read off is the lex-least a < b of E with
+    y = a + b off E and F = (E - a - b) + y a flat of dimension n - 2; g
+    takes F's reduced basis, then y and a.
+
+    Then E + y = F | {a, b}, so E meets E + y in exactly {a, b}, and one
+    Gray-code pass over y, each translate made from the last by one delta
+    swap, finds every candidate.  E need not be checked to span: with
+    S = F | {0}, a in S would put b = a + y in S + y, which is y and
+    E - a - b, and a in S + y would put a there.  So a is off span(F, y)
+    and the images form a basis.
     """
     n = m.n
     if n < 4 or m.size != (1 << (n - 2)) + 1:
         return None
-    if closure(m.points, n).dim != n:
-        return None
     bits = m.bits
-    t = m.translates
-    for a in m.points:
-        # The partners b > a with a + b off E: the points of E off E + a,
-        # read off one translate as find_triangle does.
-        partners = bits & ~t[a] & ~((2 << a) - 1)
-        while partners:
-            low = partners & -partners
-            partners ^= low
-            b = low.bit_length() - 1
-            y = a ^ b
-            # (E - a - b) + y, with a + y = b and b + y = a.
-            fmask = t[y] ^ (1 << a) ^ (1 << b)
-            # A flat is fixed by translation by any of its points; most
-            # pairs fail this before the elimination below.  fmask | 1
-            # moved by least is t[y ^ least] with a, b and 0 moved too.
-            least = (fmask & -fmask).bit_length() - 1
-            moved = t[y ^ least] ^ (1 << (a ^ least)) ^ (1 << (b ^ least)) ^ (1 << least)
-            if moved != fmask | 1:
-                continue
-            fbasis = rref(mask_points(fmask))
-            if len(fbasis) != n - 2 or span_members(fbasis) != fmask:
-                continue
-            # y is off span(F) since F + y holds no 0, and a is off
-            # span(F, y) since E spans: the images form a basis.
-            images = fbasis + (y, a)
-            g = LinearMap(n, n, images)
-            if apply_map(g, sag(n - 1)) != m:
-                raise TheoremViolation("series extension recognition failed")
-            return n - 1, g
+    cands = []
+    t = bits
+    for k in range(1, 1 << n):
+        # y = k ^ (k >> 1) differs from the last y in bit i, the lowest
+        # set bit of k.
+        i = (k & -k).bit_length() - 1
+        s = 1 << i
+        low = _LOW[i]
+        t = ((t >> s) & low) | ((t & low) << s)
+        if t & 1:
+            continue
+        pair = t & bits
+        if pair.bit_count() != 2:
+            continue
+        fmask = t ^ pair
+        # A flat is fixed by translation by any of its points; most
+        # candidates fail this before the elimination below.
+        least = (fmask & -fmask).bit_length() - 1
+        if xor_translate(fmask | 1, least) == fmask | 1:
+            a = (pair & -pair).bit_length() - 1
+            cands.append((a, pair.bit_length() - 1, fmask))
+    for a, b, fmask in sorted(cands):
+        fbasis = rref(mask_points(fmask))
+        if len(fbasis) != n - 2 or span_members(fbasis) != fmask:
+            continue
+        g = LinearMap(n, n, fbasis + (a ^ b, a))
+        if apply_map(g, sag(n - 1)) != m:
+            raise TheoremViolation("series extension recognition failed")
+        return n - 1, g
     return None

@@ -19,11 +19,11 @@ from .gf2 import (
     LinearMap,
     Translates,
     canonical_form_bits,
-    closure,
     identity_map,
     linear_system_solve,
     mask_points,
     rref,
+    span_members,
     xor_translate,
 )
 
@@ -200,13 +200,14 @@ def induced_restriction(m: Matroid, flat: Flat) -> tuple[Matroid, LinearMap]:
 
 def restrict_to_closure(m: Matroid) -> RestrictionResult:
     """Cut m down to the span of its elements (dimension at least 1)."""
-    flat = closure(m.points, m.n)
-    if flat.dim == m.n:
+    basis = rref(m.points)
+    if len(basis) == m.n:
         return RestrictionResult(m, identity_map(m.n), False)
     if m.bits == 0:
         return RestrictionResult(
             Matroid(1, 0), LinearMap(1, m.n, (1,)), m.n > 1
         )
+    flat = Flat(len(basis), basis, span_members(basis))
     small, embed = induced_restriction(m, flat)
     return RestrictionResult(small, embed, True)
 

@@ -192,6 +192,33 @@ def brute_induced_odd_circuit(bits: int, n: int) -> tuple[int, ...] | None:
     return None
 
 
+def brute_recognize_sag(bits: int, n: int) -> tuple[int, tuple[int, ...]] | None:
+    """(n - 1, images) for the first pair a < b of E, in lex order, with
+    a + b off E and (E - {a, b}) + (a + b), plus 0, closed under sums:
+    a subspace of dimension n - 2, by its size.  The images are that subspace's reduced basis, then a + b
+    and a.  None if no pair passes or E is not 2^(n-2) + 1 points, n >= 4.
+    """
+    pts = points_of(bits)
+    if n < 4 or len(pts) != (1 << (n - 2)) + 1:
+        return None
+    for a, b in itertools.combinations(pts, 2):
+        y = a ^ b
+        if (bits >> y) & 1:
+            continue
+        sub = {p ^ y for p in pts if p not in (a, b)} | {0}
+        if not all(u ^ v in sub for u in sub for v in sub):
+            continue
+        # The reduced basis: per leading bit, the member with that leading
+        # bit and no other leading bit set.
+        leads = {v.bit_length() - 1 for v in sub if v}
+        basis = sorted(
+            v for v in sub
+            if v and not any((v >> q) & 1 for q in leads - {v.bit_length() - 1})
+        )
+        return n - 1, tuple(basis) + (y, a)
+    return None
+
+
 def brute_critical(bits: int, n: int) -> int:
     """Least number of functionals whose supports cover every element."""
     pts = points_of(bits)

@@ -4,8 +4,9 @@ Each test runs one suite, prints a single pass/fail line, and enforces
 the stated runtime budget where one exists.  Suites are cached so the
 whole gate runs each computation once.  One more budget bounds the
 slowest seeded canonical form with no translation symmetry, another
-the canonical form of a dense set with none, and a third the
-decomposition of seeded members at dims 9 and 11.
+the canonical form of a dense set with none, a third the
+decomposition of seeded members at dims 9 and 11, and a fourth that of
+relabeled series extensions at dims 11 and 13.
 """
 
 import time
@@ -17,6 +18,7 @@ from bmt import (
     complement,
     decompose_i4tf,
     random_members,
+    sag,
     units,
 )
 from bmt.gf2 import random_invertible_map
@@ -147,6 +149,20 @@ def test_decompose_budget_members_d9_d11():
         elapsed = time.perf_counter() - start
         print(f"decompose of {args} took {elapsed:.2f}s")
         assert elapsed < budget, f"decompose of {args} took {elapsed:.1f}s"
+
+
+def test_decompose_budget_series_extensions_d11_d13():
+    # A relabeled sag(k) decomposes into itself with no doublings.  Three
+    # labelings of sag(10) at dim 11 decompose under 0.15 seconds
+    # together, three of sag(12) at dim 13 under 0.5.
+    for k, budget in ((10, 0.15), (12, 0.5)):
+        inputs = [apply_map(random_invertible_map(k + 1, s), sag(k)) for s in (1, 2, 3)]
+        start = time.perf_counter()
+        outcomes = [decompose_i4tf(m).outcome for m in inputs]
+        elapsed = time.perf_counter() - start
+        print(f"decompose of sag({k}) took {elapsed:.2f}s")
+        assert [(o.doublings, o.sag_param) for o in outcomes] == [(0, k)] * 3
+        assert elapsed < budget, f"decompose of sag({k}) took {elapsed:.1f}s"
 
 
 # (name, passed, detail) of each full-level row, frozen from the code

@@ -4,6 +4,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bmt import detect
 from bmt import (
@@ -28,7 +29,7 @@ from bmt import (
     units,
     xor_translate,
 )
-from bmt.gf2 import Translates, points_mask, random_invertible_map
+from bmt.gf2 import Translates, mask_points, points_mask, random_invertible_map
 from oracles import (
     brute_affine_w,
     brute_ai4_violation,
@@ -36,6 +37,7 @@ from oracles import (
     brute_induced_is,
     brute_induced_odd_circuit,
     brute_rank,
+    brute_recognize_sag,
     brute_triangle,
     independent,
     parity,
@@ -455,3 +457,41 @@ def test_recognize_sag():
     assert recognize_sag(pg(3)) is None
     assert recognize_sag(ag(4)) is None
     assert recognize_sag(double(sag(3))) is None
+
+
+@st.composite
+def _sag_cases(draw):
+    # A relabeled sag(k), k = 3..7, possibly with one point swapped out; a
+    # random set of the size recognize_sag reads, 2^(n-2) + 1 points at
+    # n = 4..8; or a set of that size inside a hyperplane.
+    kind = draw(st.sampled_from(("sag", "random", "hyperplane")))
+    if kind == "sag":
+        n = draw(st.integers(4, 8))
+        bits = sag(n - 1).bits
+        if draw(st.booleans()):
+            pts = mask_points(bits)
+            out = draw(st.sampled_from(pts))
+            new = draw(st.sampled_from([p for p in range(1, 1 << n) if p not in pts]))
+            bits ^= (1 << out) | (1 << new)
+    else:
+        n = draw(st.integers(4, 8))
+        top = 1 << (n - 1 if kind == "hyperplane" else n)
+        pts = draw(
+            st.lists(
+                st.integers(1, top - 1),
+                min_size=(1 << (n - 2)) + 1,
+                max_size=(1 << (n - 2)) + 1,
+                unique=True,
+            )
+        )
+        bits = points_mask(pts)
+    g = random_invertible_map(n, draw(st.integers(0, 2**32 - 1)))
+    return apply_map(g, Matroid(n, bits))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sag_cases())
+def test_recognize_sag_matches_brute_force(m):
+    rec = recognize_sag(m)
+    got = None if rec is None else (rec[0], tuple(rec[1].images))
+    assert got == brute_recognize_sag(m.bits, m.n)
