@@ -451,18 +451,25 @@ def recognize_sag(m: Matroid) -> tuple[int, LinearMap] | None:
         if pair.bit_count() != 2:
             continue
         fmask = t ^ pair
-        # A flat is fixed by translation by any of its points; most
-        # candidates fail this before the elimination below.
-        least = (fmask & -fmask).bit_length() - 1
-        if xor_translate(fmask | 1, least) == fmask | 1:
+        # F | {0} is a flat exactly when translation by each point of a
+        # set spanning it fixes it: each step takes the least point off
+        # the span so far.  Most candidates fail at the first point.
+        flat = fmask | 1
+        span = 1
+        rest = fmask
+        while rest:
+            p = (rest & -rest).bit_length() - 1
+            if xor_translate(flat, p) != flat:
+                break
+            span |= xor_translate(span, p)
+            rest = fmask & ~span
+        else:
             a = (pair & -pair).bit_length() - 1
             cands.append((a, pair.bit_length() - 1, fmask))
-    for a, b, fmask in sorted(cands):
-        fbasis = rref(mask_points(fmask))
-        if len(fbasis) != n - 2 or span_members(fbasis) != fmask:
-            continue
-        g = LinearMap(n, n, fbasis + (a ^ b, a))
-        if apply_map(g, sag(n - 1)) != m:
-            raise TheoremViolation("series extension recognition failed")
-        return n - 1, g
-    return None
+    if not cands:
+        return None
+    a, b, fmask = min(cands)
+    g = LinearMap(n, n, rref(mask_points(fmask)) + (a ^ b, a))
+    if apply_map(g, sag(n - 1)) != m:
+        raise TheoremViolation("series extension recognition failed")
+    return n - 1, g
