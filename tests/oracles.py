@@ -195,8 +195,9 @@ def brute_induced_odd_circuit(bits: int, n: int) -> tuple[int, ...] | None:
 def brute_recognize_sag(bits: int, n: int) -> tuple[int, tuple[int, ...]] | None:
     """(n - 1, images) for the first pair a < b of E, in lex order, with
     a + b off E and (E - {a, b}) + (a + b), plus 0, closed under sums:
-    a subspace of dimension n - 2, by its size.  The images are that subspace's reduced basis, then a + b
-    and a.  None if no pair passes or E is not 2^(n-2) + 1 points, n >= 4.
+    a subspace of dimension n - 2, by its size.  The images are that
+    subspace's reduced basis, then a + b and a.  None if no pair passes
+    or E is not 2^(n-2) + 1 points, n >= 4.
     """
     pts = points_of(bits)
     if n < 4 or len(pts) != (1 << (n - 2)) + 1:

@@ -457,6 +457,11 @@ def test_recognize_sag():
     assert recognize_sag(pg(3)) is None
     assert recognize_sag(ag(4)) is None
     assert recognize_sag(double(sag(3))) is None
+    # Ten pairs of sag(3) pass under any labeling; the lex-least is read.
+    for s in range(20):
+        moved = apply_map(random_invertible_map(4, s), sag(3))
+        rec = recognize_sag(moved)
+        assert (rec[0], tuple(rec[1].images)) == brute_recognize_sag(moved.bits, 4)
 
 
 @st.composite
