@@ -108,7 +108,7 @@ def _cmd_check(args) -> int:
         ok, line, frag = _check_prop(m, name, odd_circuit)
         results[name] = frag
         lines.append(line)
-        if not ok and name != "chi":
+        if not ok:
             failed = True
     if args.json:
         print(json.dumps({"file": args.file, "dim": m.n, "props": results}))

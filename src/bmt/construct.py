@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import FormatError
 from .gf2 import LinearMap, functional_kernel
-from .matroid import MAX_DIM, Matroid, affine_witness, apply_map
+from .matroid import MAX_DIM, Matroid, affine_witness
 
 
 def pg(n: int) -> Matroid:
@@ -153,7 +153,7 @@ class Certificate:
                 raise FormatError(f"step {step!r} not applicable: {exc}") from None
         if self.cmap.n_from != m.n or not self.cmap.is_invertible():
             raise FormatError("certificate map does not fit the construction")
-        return apply_map(self.cmap, m)
+        return Matroid(m.n, self.cmap.apply_mask(m.bits))
 
     def to_json(self) -> str:
         if self.base.n == 1:

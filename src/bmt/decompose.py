@@ -22,10 +22,8 @@ from .gf2 import (
     LinearMap,
     closure,
     functional_kernel,
-    hyperplane_functional,
     linear_system_solve,
     mask_points,
-    rank,
     span_members,
 )
 from .matroid import (
@@ -149,14 +147,14 @@ def _undo_expansion(m: Matroid, phi: int) -> AffineStep:
         # The scan tests complement_subset_h first, so the translated set
         # is a proper part of hw minus H': it spans hw only if the theorem
         # fails.  Otherwise it spans a smaller flat; drop to that case.
+        # F lies in hw, so the kernel holds phi, and only phi at rank n - 1.
         f_pts = mask_points(f_bits)
-        if rank(f_pts) == n - 1:
-            raise TheoremViolation("disjoint case without an affine geometry")
         _, kernel = linear_system_solve(f_pts, [0] * len(f_pts), n)
+        if len(kernel) == 1:
+            raise TheoremViolation("disjoint case without an affine geometry")
         psi = next(p for p in mask_points(span_members(kernel)) if p != phi)
-        kmask = hw.members & functional_kernel(psi, n).members
         case = "e_subset_h"
-        hprime = closure(mask_points(kmask), n)
+        hprime = closure(linear_system_solve((phi, psi), (0, 0), n)[1], n)
 
     if case == "e_subset_h":
         # F lies in H' (after the reroute, in hw and ker psi): E is in hpp.
@@ -179,8 +177,8 @@ def _undo_expansion(m: Matroid, phi: int) -> AffineStep:
     if m.bits & ~hpp.members != layer:
         raise TheoremViolation("removed layer does not match the case")
     inner, emb = induced_restriction(m, hpp)
-    km = induced_restriction(Matroid(n, hprime.members), hpp)[0].bits
-    func = hyperplane_functional(km, inner.n)
+    # Inner unit vector i is hpp.basis[i]; func is 1 on those off H'.
+    func = sum(1 << i for i, b in enumerate(hpp.basis) if not (hprime.members >> b) & 1)
     return AffineStep("expand1", inner, emb, x, func)
 
 

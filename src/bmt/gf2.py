@@ -263,9 +263,6 @@ class Flat:
         return mask_points(self.members)
 
 
-EMPTY_FLAT = Flat(0, (), 0)
-
-
 def closure(points: Iterable[int], n: int) -> Flat:
     """Smallest flat of PG(n-1, 2) containing the given points."""
     pts = list(points)
@@ -291,18 +288,6 @@ def functional_kernel(w: int, n: int) -> Flat:
             v |= 1 << pbit
         vecs.append(v)
     return Flat(n - 1, rref(vecs), Kernels(n)[w])
-
-
-def hyperplane_functional(members: int, n: int) -> int:
-    """Functional w whose kernel is the given dim n-1 flat bitmask.
-
-    w is determined by which unit vectors lie inside the flat.
-    """
-    w = 0
-    for i in range(n):
-        if not (members >> (1 << i)) & 1:
-            w |= 1 << i
-    return w
 
 
 def linear_system_solve(

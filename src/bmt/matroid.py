@@ -13,7 +13,6 @@ from typing import Iterable, NamedTuple
 
 from .errors import FormatError, TheoremViolation
 from .gf2 import (
-    EMPTY_FLAT,
     MAX_DIM,
     Flat,
     LinearMap,
@@ -162,15 +161,9 @@ def parse_bmat(text: str) -> Matroid:
     return Matroid(n, bits)
 
 
-def serialize_bmat(m: Matroid, form: str = "points") -> str:
-    head = f"BMAT1 dim={m.n}"
-    if form == "points":
-        body = "points=" + " ".join(str(p) for p in m.points)
-    elif form == "bits":
-        body = "bits=" + format(m.bits, "x")[::-1]
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return f"{head}\n{body}\n"
+def serialize_bmat(m: Matroid) -> str:
+    pts = " ".join(str(p) for p in m.points)
+    return f"BMAT1 dim={m.n}\npoints={pts}\n"
 
 
 class RestrictionResult(NamedTuple):
@@ -258,7 +251,7 @@ def stabilizer_flat(m: Matroid) -> StabilizerResult:
         raise TheoremViolation("stabilizer is not a subspace")
     members = stab ^ 1
     basis = rref(mask_points(members))
-    flat = Flat(len(basis), basis, members) if members else EMPTY_FLAT
+    flat = Flat(len(basis), basis, members)
 
     outside = full ^ members
     if sumset(m.bits, m.bits ^ full) != outside:

@@ -500,3 +500,7 @@ def test_recognize_sag_matches_brute_force(m):
     rec = recognize_sag(m)
     got = None if rec is None else (rec[0], tuple(rec[1].images))
     assert got == brute_recognize_sag(m.bits, m.n)
+    # recognize_sag does not replay its map; the proof in its docstring
+    # says the replay always matches.
+    if rec is not None:
+        assert apply_map(rec[1], sag(rec[0])) == m

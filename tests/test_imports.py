@@ -1,5 +1,6 @@
 """Import hygiene: every name a module imports is used or re-exported,
-and every top-level definition is used somewhere.
+every top-level definition is used somewhere, and the edges between the
+package's modules are pinned.
 
 No linter ships with the package, so this walks the sources with the
 standard library's ast module.
@@ -126,3 +127,37 @@ def test_every_traced_name_resolves():
         if not callable(getattr(importlib.import_module(f"bmt.{mod}"), attr, None)):
             missing.append(name)
     assert missing == []
+
+
+# The modules each bmt module imports from, so that a new edge between
+# modules shows up as an edit here.  `detect` builds no shape from
+# `construct`.
+MODULE_IMPORTS = {
+    "__init__": frozenset(
+        {"census", "construct", "decompose", "detect", "errors", "gf2", "matroid", "selftest"}
+    ),
+    "census": frozenset({"construct", "decompose", "detect", "errors", "gf2", "matroid"}),
+    "cli": frozenset(
+        {"census", "construct", "decompose", "detect", "errors", "matroid", "selftest"}
+    ),
+    "construct": frozenset({"errors", "gf2", "matroid"}),
+    "decompose": frozenset({"construct", "detect", "errors", "gf2", "matroid"}),
+    "detect": frozenset({"errors", "gf2", "matroid"}),
+    "errors": frozenset(),
+    "gf2": frozenset(),
+    "matroid": frozenset({"errors", "gf2"}),
+    "selftest": frozenset(
+        {"census", "construct", "decompose", "detect", "errors", "gf2", "matroid"}
+    ),
+}
+
+
+def test_module_imports():
+    got = {}
+    for path in sorted(SRC.glob("*.py")):
+        mods = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                mods |= {node.module} if node.module else {a.name for a in node.names}
+        got[path.stem] = frozenset(mods)
+    assert got == MODULE_IMPORTS

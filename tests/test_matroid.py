@@ -39,6 +39,12 @@ from oracles import (
 SEED = 2003
 
 
+def _bits_text(m):
+    # The `bits=` form of a BMAT document, which serialize_bmat does not
+    # write but parse_bmat reads.
+    return f"BMAT1 dim={m.n}\nbits={format(m.bits, 'x')[::-1]}\n"
+
+
 def test_matroid_validation():
     with pytest.raises(ValueError):
         Matroid(0, 0)
@@ -119,7 +125,7 @@ def test_bmat_round_trip_points_and_bits():
         n = rng.randrange(1, 7)
         m = Matroid(n, random_bits(rng, n))
         assert parse_bmat(serialize_bmat(m)) == m
-        assert parse_bmat(serialize_bmat(m, form="bits")) == m
+        assert parse_bmat(_bits_text(m)) == m
 
 
 def test_bmat_known_document():
@@ -201,7 +207,7 @@ def test_parse_bmat_fuzz_gives_matroid_or_format_error(text):
         m = parse_bmat(text)
     except FormatError:
         return
-    assert parse_bmat(serialize_bmat(m, form="bits")) == m
+    assert parse_bmat(_bits_text(m)) == m
 
 
 @st.composite
@@ -218,14 +224,10 @@ def _bmat_cases(draw):
 @given(_bmat_cases())
 def test_bmat_round_trip_property(case):
     m, form = case
-    text = serialize_bmat(m, form)
+    write = serialize_bmat if form == "points" else _bits_text
+    text = write(m)
     assert parse_bmat(text) == m
-    assert serialize_bmat(parse_bmat(text), form) == text
-
-
-def test_serialize_unknown_form():
-    with pytest.raises(ValueError):
-        serialize_bmat(Matroid(2, 0), form="csv")
+    assert write(parse_bmat(text)) == text
 
 
 def test_apply_map_is_a_group_action():
