@@ -420,6 +420,35 @@ def test_critical_number_known_values():
         assert critical_number(sag(m)) == 2
 
 
+# sha256 of "chi:odd circuit" for each of _chi_inputs(), joined by ";":
+# every set at dims 1-4, seeded sets at dims 5-6 across densities, and
+# class members at dims 5-7.
+FROZEN_CHI_DIGEST = "dcbedca0b86aa3ff481dd66e029a44edec3fab0095b56f2be0918351e6471b28"
+
+
+def _chi_inputs():
+    out = [Matroid(n, bits) for n in (1, 2, 3, 4) for bits in range(0, 1 << (1 << n), 2)]
+    rng = random.Random(SEED + 14)
+    for n in (5, 6):
+        for density in (0.15, 0.3, 0.5, 0.7, 0.85):
+            for _ in range(6):
+                k = max(1, round(density * ((1 << n) - 1)))
+                out.append(Matroid(n, points_mask(rng.sample(range(1, 1 << n), k))))
+    for n in (5, 6, 7):
+        for tag in ("ai4", "i4tf_affine", "i4tf_nonaffine"):
+            out += random_members(n, 4, SEED + 14, tag)
+    return out
+
+
+def test_chi_and_odd_circuit_frozen():
+    parts = []
+    for m in _chi_inputs():
+        w = find_induced_odd_circuit(m)
+        parts.append(f"{critical_number(m)}:" + ("-" if w is None else f"{w.points}"))
+    digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
+    assert digest == FROZEN_CHI_DIGEST
+
+
 def test_find_doubling_element():
     rng = random.Random(SEED + 7)
     for _ in range(60):
