@@ -20,7 +20,6 @@ from .gf2 import (
     _LOW,
     coset_leaders,
     functional_kernel,
-    linear_system_solve,
     mask_points,
     points_mask,
     rank,
@@ -307,9 +306,13 @@ def i4tf_witness(m: Matroid) -> Witness | None:
 def find_induced_odd_circuit(m: Matroid) -> Witness | None:
     """Smallest induced odd circuit.
 
-    Sizes run over the odd k from 3 up to n + 1, which is as far as an
-    induced circuit can go in dimension n.
+    None when E is affine: with <w, e> = 1 on every element, a circuit,
+    whose points sum to 0, has an even number of points.  Otherwise sizes
+    run over the odd k from 3 up to n + 1, which is as far as an induced
+    circuit can go in dimension n.
     """
+    if affine_witness(m) is not None:
+        return None
     for k in range(3, m.n + 2, 2):
         w = _circuit_search(m, k)
         if w is not None:
@@ -363,47 +366,70 @@ def _circuit_search(m: Matroid, k: int) -> Witness | None:
 
 
 def critical_number(m: Matroid) -> int:
-    """Least c such that some flat of codimension c misses every element."""
+    """Least c such that some flat of codimension c misses every element.
+
+    c = 1 exactly when E has an affine witness.  Otherwise c = 2 exactly
+    when E & ker w1, for some w1, has an affine witness w2: then E,
+    ker w1 and ker w2 share no point.  The masks E & ker w1 run over w1
+    in Gray-code order, each made from the last by one XOR: flipping bit
+    i of w1 flips <w1, p> on the points p with bit i set.  The w2 with
+    <w2, p> = 1 on a set of points are an AND of masks over functionals,
+    and the AND stops once it is empty.  Past that, no flat of
+    codimension 2 misses E, and the flat search stops at the first one of
+    codimension 3.
+    """
     if m.bits == 0:
         return 0
-    n = m.n
-    # Look for a kernel of codimension at most 2: a functional pair
-    # (w1, w2) where w2 hits every element surviving w1.  Neither 0 nor w1
-    # can solve the survivor system, so any solution works.  At w1 = 0
-    # every element survives, and a solution is an affine witness.
-    for w1 in range(1 << n):
-        rows = [p for p in m.points if (w1 & p).bit_count() & 1 == 0]
-        sol, _ = linear_system_solve(rows, [1] * len(rows), n)
-        if sol is not None:
-            return 2 if w1 else 1
-    full = (1 << (1 << n)) - 2
-    return n - _largest_flat_dim(m.bits ^ full, m.bits, n)
+    if affine_witness(m) is not None:
+        return 1
+    e, n = m.bits, m.n
+    # hi[i] holds the p with bit i set; read as a set of functionals w, it
+    # is also the w with bit i set, so the w with <w, p> = 1 are the XOR
+    # of hi[i] over the bits i of p.
+    full = (1 << (1 << n)) - 1
+    hi = [full & ~_LOW[i] for i in range(n)]
+    s = e
+    for k in range(1, 1 << n):
+        s ^= e & hi[(k & -k).bit_length() - 1]
+        rest, ws = s, full
+        while rest and ws:
+            low = rest & -rest
+            rest ^= low
+            p = low.bit_length() - 1
+            h = 0
+            while p:
+                bit = p & -p
+                p ^= bit
+                h ^= hi[bit.bit_length() - 1]
+            ws &= h
+        if ws:
+            return 2
+    return n - _largest_flat_dim(e, n, n - 3)
 
 
-def _largest_flat_dim(allowed: int, forbidden: int, n: int) -> int:
-    # Largest d with a d-dimensional subspace whose points all lie in
-    # allowed.  Plain DFS with a counting bound; only reached when the
-    # critical number is at least 3.
-    cands = mask_points(allowed)
+def _largest_flat_dim(e: int, n: int, target: int) -> int:
+    # Largest d <= target with a d-dimensional subspace S that misses E.
+    # A DFS over reduced echelon bases in ascending order reaches each S
+    # once.  A node's candidates lie above its last choice, have no bit at
+    # its pivots (so each is the least point of its coset of S), and are
+    # off E + S, so that the new coset misses E.  The new cosets of a
+    # subspace k dimensions up have 2^k - 1 such least points, all still
+    # candidates, which bounds k.
     best = 0
 
-    def rec(start: int, depth: int, spanmask: int) -> None:
+    def rec(cands: int, depth: int, bad: int) -> None:
         nonlocal best
-        if depth > best:
-            best = depth
-        for i in range(start, len(cands)):
-            remaining = len(cands) - i + (1 << depth) - 1
-            if (remaining + 1).bit_length() - 1 <= best:
+        best = max(best, depth)
+        while cands and best < target:
+            if depth + (cands.bit_count() + 1).bit_length() - 1 <= best:
                 return
-            x = cands[i]
-            if (spanmask >> x) & 1:
-                continue
-            shifted = xor_translate(spanmask, x)
-            if shifted & forbidden:
-                continue
-            rec(i + 1, depth + 1, spanmask | (1 << x) | shifted)
+            low = cands & -cands
+            cands ^= low
+            x = low.bit_length() - 1
+            nbad = bad | xor_translate(bad, x)
+            rec(cands & _LOW[x.bit_length() - 1] & ~nbad, depth + 1, nbad)
 
-    rec(0, 0, 0)
+    rec(((1 << (1 << n)) - 2) & ~e, 0, e)
     return best
 
 

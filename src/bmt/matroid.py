@@ -52,6 +52,16 @@ class Matroid:
         in detect share it."""
         return Translates(self.bits, self.n)
 
+    @cached_property
+    def _affine_witness(self) -> int | None:
+        # Solved on first use and kept: check's affine, odd-circuit and
+        # chi answers each need it.  Read it through affine_witness.
+        if self.bits == 0:
+            return 1
+        pts = self.points
+        w, _ = linear_system_solve(pts, [1] * len(pts), self.n)
+        return w
+
     @property
     def size(self) -> int:
         return self.bits.bit_count()
@@ -210,12 +220,9 @@ def affine_witness(m: Matroid) -> int | None:
 
     Such a w exists exactly when E lies in an affine hyperplane, i.e. when
     the two color classes 0 and {E} work.  An empty E gets witness 1.
+    The system is solved once per Matroid.
     """
-    if m.bits == 0:
-        return 1
-    pts = m.points
-    w, _ = linear_system_solve(pts, [1] * len(pts), m.n)
-    return w
+    return m._affine_witness
 
 
 def is_affine(m: Matroid) -> bool:

@@ -232,6 +232,35 @@ def brute_critical(bits: int, n: int) -> int:
     raise AssertionError("cover search exhausted")
 
 
+@lru_cache(maxsize=None)
+def all_subspaces(n: int) -> tuple[int, ...]:
+    """Every subspace of GF(2)^n, each once, as a mask of its points with
+    0 included: 374 at n = 5, 2 825 at n = 6."""
+    seen = {1}
+    frontier = [1]
+    while frontier:
+        grown = []
+        for s in frontier:
+            members = [p for p in range(1 << n) if (s >> p) & 1]
+            for x in range(1, 1 << n):
+                if not (s >> x) & 1:
+                    t = s
+                    for v in members:
+                        t |= 1 << (v ^ x)
+                    if t not in seen:
+                        seen.add(t)
+                        grown.append(t)
+        frontier = grown
+    return tuple(sorted(seen))
+
+
+def brute_largest_avoiding_subspace(bits: int, n: int) -> int:
+    """Largest dimension of a subspace that holds no element."""
+    return max(
+        s.bit_count().bit_length() - 1 for s in all_subspaces(n) if not s & bits
+    )
+
+
 def random_bits(rng: random.Random, n: int) -> int:
     return rng.getrandbits(1 << n) & ~1 & ((1 << (1 << n)) - 1)
 

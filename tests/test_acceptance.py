@@ -5,23 +5,27 @@ the stated runtime budget where one exists.  Suites are cached so the
 whole gate runs each computation once.  One more budget bounds the
 slowest seeded canonical form with no translation symmetry, another
 the canonical form of a dense set with none, a third the
-decomposition of seeded members at dims 9 and 11, and a fourth that of
-relabeled series extensions at dims 11 and 13.
+decomposition of seeded members at dims 9 and 11, a fourth that of
+relabeled series extensions at dims 11 and 13, and a fifth the critical
+number of non-members at dims 8-10.
 """
 
+import random
 import time
 from functools import lru_cache
 
 from bmt import (
+    Matroid,
     apply_map,
     canonical_form,
     complement,
+    critical_number,
     decompose_i4tf,
     random_members,
     sag,
     units,
 )
-from bmt.gf2 import random_invertible_map
+from bmt.gf2 import points_mask, random_invertible_map
 from bmt.selftest import (
     CRITERIA,
     check_affine_characterization,
@@ -163,6 +167,22 @@ def test_decompose_budget_series_extensions_d11_d13():
         print(f"decompose of sag({k}) took {elapsed:.2f}s")
         assert [(o.doublings, o.sag_param) for o in outcomes] == [(0, k)] * 3
         assert elapsed < budget, f"decompose of sag({k}) took {elapsed:.1f}s"
+
+
+def test_chi_budget_non_members_d8_d10():
+    # The AI4-free draw random_members(8, 3, 1, "ai4")[2] (43 points, with
+    # a triangle) has chi 3, and seeded sets of 248 points at dim 9 and 64
+    # points at dim 10 have chi 5 and 3.  Each takes under 2 seconds.
+    inputs = [random_members(8, 3, 1, "ai4")[2]]
+    for n, k in ((9, 248), (10, 64)):
+        inputs.append(Matroid(n, points_mask(random.Random(0).sample(range(1, 1 << n), k))))
+    for m, want in zip(inputs, (3, 5, 3)):
+        start = time.perf_counter()
+        chi = critical_number(m)
+        elapsed = time.perf_counter() - start
+        print(f"chi of a {m.size}-point set at dim {m.n} took {elapsed:.2f}s")
+        assert chi == want
+        assert elapsed < 2.0, f"chi at dim {m.n} took {elapsed:.1f}s"
 
 
 # (name, passed, detail) of each full-level row, frozen from the code

@@ -31,16 +31,19 @@ from bmt import (
 )
 from bmt.gf2 import Translates, mask_points, points_mask, random_invertible_map
 from oracles import (
+    all_subspaces,
     brute_affine_w,
     brute_ai4_violation,
     brute_critical,
     brute_induced_is,
     brute_induced_odd_circuit,
+    brute_largest_avoiding_subspace,
     brute_rank,
     brute_recognize_sag,
     brute_triangle,
     independent,
     parity,
+    random_affine_bits,
     random_bits,
     xor_span,
 )
@@ -396,6 +399,17 @@ def test_affine_iff_no_induced_odd_circuit_exhaustive_dim3():
     for bits in range(0, 1 << 8, 2):
         m = Matroid(3, bits)
         assert is_affine(m) == (find_induced_odd_circuit(m) is None)
+    # Seeded affine and non-affine sets at dim 5, against the oracle,
+    # which never reads the affine witness that the search stops on.
+    rng = random.Random(SEED + 16)
+    outcomes = set()
+    for i in range(40):
+        bits = random_affine_bits(rng, 5) if i % 2 else _sparse_bits(rng, 5)
+        m = Matroid(5, bits)
+        want = brute_induced_odd_circuit(bits, 5) is None
+        assert is_affine(m) == want == (find_induced_odd_circuit(m) is None)
+        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_critical_number_matches_brute():
@@ -409,6 +423,25 @@ def test_critical_number_matches_brute():
         m = Matroid(4, bits)
         want = brute_critical(bits, 4) if bits else 0
         assert critical_number(m) == want
+
+
+def test_critical_number_matches_subspace_oracle():
+    # The subspace oracle against the cover oracle at dim 3, then against
+    # critical_number on dense seeded sets at dims 5-6, where chi reaches
+    # 3-5 and the flat search decides.
+    assert (len(all_subspaces(5)), len(all_subspaces(6))) == (374, 2825)
+    for bits in range(2, 1 << 8, 2):
+        assert 3 - brute_largest_avoiding_subspace(bits, 3) == brute_critical(bits, 3)
+    rng = random.Random(SEED + 15)
+    seen = set()
+    for n in (5, 6):
+        for _ in range(30):
+            k = rng.randrange(1 << (n - 1), 1 << n)
+            bits = points_mask(rng.sample(range(1, 1 << n), k))
+            want = n - brute_largest_avoiding_subspace(bits, n)
+            assert critical_number(Matroid(n, bits)) == want
+            seen.add(want)
+    assert {3, 4, 5} <= seen
 
 
 def test_critical_number_known_values():
