@@ -1,5 +1,6 @@
 """Matroid container, text format, restriction, stabilizer flat."""
 
+import hashlib
 import random
 
 import pytest
@@ -24,7 +25,7 @@ from bmt import (
 )
 import bmt.gf2
 import bmt.matroid
-from bmt.gf2 import closure, random_invertible_map
+from bmt.gf2 import closure, random_invertible_map, rref, span_members
 from bmt.matroid import MAX_DIM
 from oracles import (
     brute_affine_w,
@@ -343,6 +344,38 @@ def test_stabilizer_flat_doubled_example():
     assert res.flat.dim == 1
     assert res.flat.points() == [16]
     assert res.translates == (5, 6, 7, 8, 12)
+
+
+# sha256 of "flat basis:flat members:translates:span of the six least
+# points:span of the reduced basis of E" for each of _stabilizer_inputs(),
+# joined by ";": every set at dims 1-4, seeded sets at dims 5-8, and
+# seeded sets at dims 4-7 doubled once or twice.
+FROZEN_STABILIZER_DIGEST = "d2a38ff57b89cfd8f89044a3c6ea550ddb5c8c2c4e13c289d740250911dd7b20"
+
+
+def _stabilizer_inputs():
+    from bmt import double
+
+    out = [Matroid(n, bits) for n in (1, 2, 3, 4) for bits in range(0, 1 << (1 << n), 2)]
+    rng = random.Random(SEED + 20)
+    for n in (5, 6, 7, 8):
+        for density in (0.15, 0.5, 0.85):
+            for _ in range(10):
+                k = max(1, round(density * ((1 << n) - 1)))
+                out.append(from_points(n, rng.sample(range(1, 1 << n), k)))
+                half = Matroid(n - 1, random_bits(rng, n - 1))
+                out.append(double(double(half)) if n > 5 and rng.random() < 0.5 else double(half))
+    return out
+
+
+def test_stabilizer_flat_and_span_frozen():
+    parts = []
+    for m in _stabilizer_inputs():
+        st = stabilizer_flat(m)
+        spans = (span_members(m.points[:6]), span_members(rref(m.points)))
+        parts.append(f"{st.flat.basis}:{st.flat.members:x}:{st.translates}:{spans[0]:x}:{spans[1]:x}")
+    digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
+    assert digest == FROZEN_STABILIZER_DIGEST
 
 
 def test_canonical_form_idempotent_and_invariant():
