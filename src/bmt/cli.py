@@ -56,8 +56,8 @@ def _check_prop(
     """Returns (passed, text line, json fragment) for one property, one
     of PROP_NAMES.
 
-    odd_circuit() gives find_induced_odd_circuit(m); `affine` and
-    `oddcircuit` share it.
+    odd_circuit() gives find_induced_odd_circuit(m), already verified;
+    `affine` and `oddcircuit` share it.
     """
     if name == "triangle":
         w = find_triangle(m)
@@ -76,7 +76,6 @@ def _check_prop(
         w = odd_circuit()
         if w is None:
             raise TheoremViolation("non-affine set without an induced odd circuit")
-        w = w.checked(m)
         pts = " ".join(str(p) for p in w.points)
         return False, f"affine: no (odd circuit {pts})", {
             "pass": False,
@@ -87,7 +86,8 @@ def _check_prop(
         return True, f"chi: {value}", {"pass": True, "value": value}
     if w is None:
         return True, f"{name}: none", {"pass": True, "witness": None}
-    w = w.checked(m)
+    if name != "oddcircuit":
+        w = w.checked(m)
     pts = " ".join(str(p) for p in w.points)
     return False, f"{name}: {pts}", {"pass": False, "witness": _witness_dict(w)}
 
@@ -100,7 +100,13 @@ def _cmd_check(args) -> int:
     for name in names:
         if name not in PROP_NAMES:
             raise FormatError(f"unknown property {name!r}")
-    odd_circuit = functools.cache(lambda: find_induced_odd_circuit(m))
+
+    @functools.cache
+    def odd_circuit() -> Witness | None:
+        # Searched and verified once, by whichever property asks first.
+        w = find_induced_odd_circuit(m)
+        return w and w.checked(m)
+
     results = {}
     lines = []
     failed = False

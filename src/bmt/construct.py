@@ -57,12 +57,10 @@ def sag(m: int) -> Matroid:
     """
     if m < 3:
         raise ValueError("parameter must be at least 3")
+    # The affine points half + 1 .. 2 half - 1, and for half the series
+    # pair 2 half, 3 half, whose sum it is.
     half = 1 << (m - 1)
-    bits = 0
-    for p in range(half + 1, 2 * half):
-        bits |= 1 << p
-    bits |= 1 << (2 * half)
-    bits |= 1 << (2 * half + half)
+    bits = (((1 << (half - 1)) - 1) << (half + 1)) | (1 << 2 * half) | (1 << 3 * half)
     return Matroid(m + 1, bits)
 
 

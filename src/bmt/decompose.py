@@ -227,17 +227,14 @@ def _extend_basis(vectors: list[int], count: int) -> tuple[int, ...]:
     return tuple(vectors)
 
 
-def _affine_chain(
-    m: Matroid, phi: int | None = None
-) -> tuple[Matroid, tuple[str, ...], tuple[int, ...], Matroid]:
+def _affine_chain(m: Matroid) -> tuple[Matroid, tuple[str, ...], tuple[int, ...], Matroid]:
     # Returns (base, steps, images, raw) where raw is the fold of steps
-    # over base and LinearMap(images) carries raw onto m.  phi is m's
-    # affine witness when the caller has solved for it already.
+    # over base and LinearMap(images) carries raw onto m.
     # Never empty above dimension 1: an expand1 step would empty only an
     # affine flat, whose translate the scan files under e_subset_h.
     if m.n == 1:
         return m, (), (1,), m
-    step = _undo_expansion(m, affine_witness(m) if phi is None else phi)
+    step = _undo_expansion(m, affine_witness(m))
     base, steps0, images0, raw0 = _affine_chain(step.inner)
     if step.tag == "expand0":
         lifted = _extend_basis([step.embed.apply(p) for p in images0], m.n)
@@ -330,9 +327,8 @@ def _certify(m: Matroid, rest: RestrictionResult) -> AffineChain | DoubledSag:
     # Raises TheoremViolation where a step the theorem guarantees for
     # members fails, or the certificate does not replay.
     core = rest.matroid
-    phi = affine_witness(core)
-    if phi is not None:
-        base, steps, images, _ = _affine_chain(core, phi)
+    if affine_witness(core) is not None:
+        base, steps, images, _ = _affine_chain(core)
         if core.n < m.n:
             steps = steps + ("expand0",) * (m.n - core.n)
             images = _extend_basis([rest.embed.apply(p) for p in images], m.n)

@@ -25,6 +25,7 @@ from .gf2 import (
     rank,
     rref,
     span_members,
+    stabilizer,
 )
 from .matroid import Matroid, affine_witness, is_affine, xor_translate
 
@@ -167,7 +168,7 @@ def _doubling_group(t: Translates) -> tuple[int, int]:
     # W = {w : E + w = E} read from E's translates, as a point set with 0,
     # and the least point of each W-coset.  Every map x -> x + L(x), with
     # L linear into W and zero on W, fixes E.
-    wmask = t.stabilizer()
+    wmask = stabilizer(t, t.n)
     return wmask, coset_leaders(rref(mask_points(wmask ^ 1)), t.n)
 
 
@@ -435,7 +436,7 @@ def _largest_flat_dim(e: int, n: int, target: int) -> int:
 
 def find_doubling_element(m: Matroid) -> tuple[int, Flat] | None:
     """Least nonelement w with w + E = E, plus a hyperplane missing w."""
-    ws = m.translates.stabilizer() & ~1
+    ws = stabilizer(m.translates, m.n) & ~1
     if not ws:
         return None
     w = (ws & -ws).bit_length() - 1

@@ -83,22 +83,24 @@ class Translates(dict):
         self[v] = out = xor_translate(self[v ^ s], s)
         return out
 
-    def stabilizer(self) -> int:
-        """Point set of W = {w : E + w = E}, 0 included.
 
-        w is in W exactly when e + w is on E for every point e of E, that
-        is when w is in every E + e; the scan stops once only 0 is left.
-        A w != 0 in W pairs the points of E, so an odd E has W = {0}.
-        """
-        mask = self[0]
-        if mask.bit_count() & 1:
-            return 1
-        acc = (1 << (1 << self.n)) - 1
-        while mask and acc != 1:
-            low = mask & -mask
-            mask ^= low
-            acc &= self[low.bit_length() - 1]
-        return acc
+def stabilizer(table: Translates | list[int], n: int) -> int:
+    """Point set of W = {w : E + w = E}, 0 included, read off a table of
+    the translates of E, a Translates table or a translate_list.
+
+    w is in W exactly when e + w is on E for every point e of E, that is
+    when w is in every E + e; the scan stops once only 0 is left.  A
+    w != 0 in W pairs the points of E, so an odd E has W = {0}.
+    """
+    mask = table[0]
+    if mask.bit_count() & 1:
+        return 1
+    acc = (1 << (1 << n)) - 1
+    while mask and acc != 1:
+        low = mask & -mask
+        mask ^= low
+        acc &= table[low.bit_length() - 1]
+    return acc
 
 
 class Kernels(dict):
@@ -233,13 +235,10 @@ def rank(vectors: Iterable[int]) -> int:
 
 
 def span_members(basis: Iterable[int]) -> int:
-    """Bitmask of the nonzero vectors spanned by basis."""
-    members = [0]
+    """Bitmask of the nonzero vectors spanned by basis, built by doubling."""
+    mask = 1
     for v in basis:
-        members += [s ^ v for s in members]
-    mask = 0
-    for s in members:
-        mask |= 1 << s
+        mask |= xor_translate(mask, v)
     return mask & ~1
 
 
@@ -287,7 +286,8 @@ def functional_kernel(w: int, n: int) -> Flat:
         if (w >> i) & 1:
             v |= 1 << pbit
         vecs.append(v)
-    return Flat(n - 1, rref(vecs), Kernels(n)[w])
+    # Already reduced: vector i leads with bit i, and only pbit is shared.
+    return Flat(n - 1, tuple(vecs), Kernels(n)[w])
 
 
 def linear_system_solve(
@@ -480,9 +480,9 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     fixes each one's basis.
 
     The translations that fix the set are the case D_w = {}, and they
-    prune whole cosets at once.  Let W = {w : E + w = E}, the v whose
-    entry in the list of translates is E itself; a second flat list, of
-    the translates of W, gives each coset u + W.
+    prune whole cosets at once.  Let W = {w : E + w = E}, read off the
+    list of translates by stabilizer; a second flat list, of the
+    translates of W, gives each coset u + W.
     Let u be a candidate of a node with span S, so u is off S.  For w in
     W with u + w off S, take f zero on S and on w, with f(u) = 1; it
     exists since u is off S + {0, w}.  Then t fixes S pointwise, maps E
@@ -503,7 +503,7 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     # Entry v is the column E + v; entry v of cosets is the coset v + W of
     # the set's translation stabilizer W = {w : E + w = E}.
     table = translate_list(bits, n)
-    cosets = translate_list(points_mask(v for v, t in enumerate(table) if t == bits), n)
+    cosets = translate_list(stabilizer(table, n), n)
     kernels = Kernels(n)
     transvections = Transvections(table, kernels)
 

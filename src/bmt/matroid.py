@@ -18,11 +18,13 @@ from .gf2 import (
     LinearMap,
     Translates,
     canonical_form_bits,
+    coset_leaders,
     identity_map,
     linear_system_solve,
     mask_points,
     rref,
     span_members,
+    stabilizer,
     xor_translate,
 )
 
@@ -245,33 +247,18 @@ class StabilizerResult(NamedTuple):
 def stabilizer_flat(m: Matroid) -> StabilizerResult:
     """Largest flat U with E a union of U-cosets, plus coset representatives.
 
-    Built from the translation stabilizer of E (of its complement when the
-    size is odd).  Verifies that the points off U are exactly the pairwise
-    sums between E and its complement, and that the returned translates
-    tile E; failure of either check raises TheoremViolation.
+    U is W = {w : T + w = T} without 0, for the tile T: E, or E with 0
+    when |E| is odd, whose W is that of the complement.  T is a union of
+    W-cosets, represented by their least points in ascending order.
+    Raises TheoremViolation unless the points off U are exactly the
+    pairwise sums between E and its complement.
     """
     n = m.n
     full = (1 << (1 << n)) - 2
-    target = m.bits if m.size % 2 == 0 else m.bits ^ full
-    stab = Translates(target, n).stabilizer()
-    if stab.bit_count() & (stab.bit_count() - 1):
-        raise TheoremViolation("stabilizer is not a subspace")
-    members = stab ^ 1
+    tile = m.bits if m.size % 2 == 0 else m.bits | 1
+    members = stabilizer(Translates(tile, n), n) ^ 1
     basis = rref(mask_points(members))
     flat = Flat(len(basis), basis, members)
-
-    outside = full ^ members
-    if sumset(m.bits, m.bits ^ full) != outside:
+    if sumset(m.bits, m.bits ^ full) != full ^ members:
         raise TheoremViolation("cross sums do not match the stabilizer flat")
-
-    tile = m.bits if m.size % 2 == 0 else m.bits | 1
-    translates = []
-    remaining = tile
-    while remaining:
-        t = (remaining & -remaining).bit_length() - 1
-        coset = xor_translate(members | 1, t)
-        if coset & tile != coset:
-            raise TheoremViolation("elements are not a union of cosets")
-        translates.append(t)
-        remaining &= ~coset
-    return StabilizerResult(flat, tuple(translates))
+    return StabilizerResult(flat, tuple(mask_points(tile & coset_leaders(basis, n))))

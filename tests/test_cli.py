@@ -85,10 +85,19 @@ def test_check_shares_one_odd_circuit_search(c5_file, monkeypatch, capsys):
         calls.append(m)
         return search(m)
 
+    verify = Witness.verify
+    verified = []
+
+    def verify_counting(w, m):
+        verified.append(w)
+        return verify(w, m)
+
     monkeypatch.setattr(cli, "find_induced_odd_circuit", counting)
+    monkeypatch.setattr(Witness, "verify", verify_counting)
     assert main(["check", "--props", "affine,oddcircuit", c5_file]) == 1
     assert capsys.readouterr().out.splitlines() == want
     assert len(calls) == 1
+    assert len(verified) == 1
 
 
 def test_check_affine_member(tmp_path, capsys):
@@ -462,6 +471,40 @@ def test_selftest_sweep_names_its_first_failing_set(monkeypatch):
     first = random_members(5, 20, 271, "i4tf_affine")[0]
     assert not res.passed
     assert res.detail == f"74 members checked; fails on {first}"
+
+
+# (check, search patched in selftest, stand-in, clause the FAIL row names).
+_BROKEN_CLAUSES = [
+    ("preservation", "critical_number", lambda m: m.n, "('chi', "),
+    # A triangle in every set above dimension 1: doubling a set at
+    # dimension 1 seems to make one.
+    ("preservation", "find_triangle", lambda m: "triangle" if m.n > 1 else None, "('triangle', "),
+    ("preservation", "is_affine", lambda m: False, "('affine', "),
+    ("alpha_beta_ledger", "find_induced_is", lambda m, s: None, "['t7']"),
+    ("alpha_beta_ledger", "find_ai4_violation", lambda m: "ai4", "['t4-precondition']"),
+    ("sag_properties", "critical_number", lambda m: m.n, "(3, 'chi')"),
+    ("sag_properties", "recognize_sag", lambda m: None, "(3, 'recognition')"),
+]
+
+
+@pytest.mark.parametrize("name, search, fake, clause", _BROKEN_CLAUSES)
+def test_selftest_row_names_the_failing_clause(monkeypatch, name, search, fake, clause):
+    monkeypatch.setattr(selftest, search, fake)
+    res = getattr(selftest, f"check_{name}")("quick")
+    assert not res.passed
+    assert f"; fails {clause}" in res.detail
+
+
+def test_selftest_keeps_every_row_when_clauses_fail(monkeypatch):
+    monkeypatch.setattr(selftest, "critical_number", lambda m: m.n)
+    monkeypatch.setattr(selftest, "find_induced_is", lambda m, s: None)
+    rep = selftest.run_selftest("quick")
+    assert [r.name for r in rep.results] == [row[0] for row in FROZEN_QUICK_ROWS]
+    failed = {r.name: r.detail for r in rep.results if not r.passed}
+    assert set(failed) == {"chi_bound", "preservation", "alpha_beta_ledger", "sag_properties"}
+    assert "; fails ('chi', " in failed["preservation"]
+    assert failed["alpha_beta_ledger"].endswith("; fails ['t7']")
+    assert failed["sag_properties"].endswith("; fails (3, 'chi')")
 
 
 def test_threads_default_is_one():

@@ -23,6 +23,7 @@ from bmt.gf2 import (
     rank,
     rref,
     span_members,
+    stabilizer,
     translate_list,
     xor_translate,
 )
@@ -110,6 +111,11 @@ def test_functional_kernel_and_hyperplanes():
             flat = functional_kernel(w, n)
             assert flat.dim == n - 1
             assert flat.members == members
+    # The kernel's basis is built reduced, for every w up to dimension 10.
+    for n in range(1, 11):
+        for w in range(1, 1 << n):
+            basis = functional_kernel(w, n).basis
+            assert rref(basis) == basis
 
 
 def test_transvections_match_brute_force():
@@ -208,7 +214,7 @@ def test_translates_match_xor_translate(case):
     mask, n = case
     table = Translates(mask, n)
     want = [xor_translate(mask, v) for v in range(1 << n)]
-    assert table.stabilizer() == points_mask(v for v in range(1 << n) if want[v] == mask)
+    assert stabilizer(table, n) == points_mask(v for v in range(1 << n) if want[v] == mask)
     assert [table[v] for v in range(1 << n)] == want
     assert len(table) == 1 << n
 
@@ -223,7 +229,7 @@ def test_translate_list_matches_xor_translate(case):
     flat = translate_list(mask, n)
     assert flat == [xor_translate(mask, v) for v in range(1 << n)]
     wmask = points_mask(v for v, t in enumerate(flat) if t == mask)
-    assert wmask == Translates(mask, n).stabilizer()
+    assert stabilizer(flat, n) == wmask == stabilizer(Translates(mask, n), n)
 
 
 def test_canonical_form_bits_exhaustive_dim3():
