@@ -495,6 +495,35 @@ def test_selftest_row_names_the_failing_clause(monkeypatch, name, search, fake, 
     assert f"; fails {clause}" in res.detail
 
 
+def test_selftest_ledger_row_lists_every_clause_one_input_fails(monkeypatch):
+    # An independent 3-set in every set from dimension 3 breaks t3 and t6
+    # on the first input at dimension 2.
+    monkeypatch.setattr(selftest, "find_induced_is", lambda m, s: "is" if m.n >= 3 else None)
+    res = selftest.check_alpha_beta_ledger("quick")
+    assert not res.passed
+    assert res.detail.endswith("; fails ['t3', 't6']")
+
+
+def test_selftest_check_stops_at_its_first_failing_case(monkeypatch):
+    # chi breaks on the first doubling and on sag(3): nothing after that
+    # case is drawn or searched.
+    monkeypatch.setattr(selftest, "critical_number", lambda m: m.n)
+    calls = {name: 0 for name in ("_random_set", "find_triangle", "recognize_sag")}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(selftest, name, counted(name, getattr(selftest, name)))
+    assert not selftest.check_preservation("quick").passed
+    assert not selftest.check_sag_properties("quick").passed
+    assert calls == {"_random_set": 1, "find_triangle": 0, "recognize_sag": 0}
+
+
 def test_selftest_keeps_every_row_when_clauses_fail(monkeypatch):
     monkeypatch.setattr(selftest, "critical_number", lambda m: m.n)
     monkeypatch.setattr(selftest, "find_induced_is", lambda m, s: None)
