@@ -12,7 +12,7 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable
+from typing import Iterable, Iterator
 
 from .census import (
     enumerate_generated,
@@ -98,21 +98,21 @@ def _check(fn):
     return check
 
 
-def _sweep(
-    ms: Iterable[Matroid], holds: Callable[[Matroid], object]
-) -> tuple[int, Matroid | None]:
-    """How many of ms were tried, up to and including the first on which
-    holds fails, and that one (None when holds on all)."""
+def _sweep(cases: Iterable[tuple[object, object]]) -> tuple[int, object]:
+    """How many (label, result) cases were tried, up to and including the
+    first whose result is false, and that case's label (None when none
+    fails).  Pass the cases lazily, so that nothing past the first failure
+    is drawn or searched."""
     count = 0
-    for m in ms:
+    for label, result in cases:
         count += 1
-        if not holds(m):
-            return count, m
+        if not result:
+            return count, label
     return count, None
 
 
-def _fails_on(bad: Matroid | None) -> str:
-    return "" if bad is None else f"; fails on {bad}"
+def _fails(bad: object, prefix: str = "") -> str:
+    return "" if bad is None else f"; fails {prefix}{bad}"
 
 
 @_check
@@ -147,8 +147,8 @@ def check_chi_bound(level: str) -> tuple[bool, str]:
         for tag in ("i4tf_affine", "i4tf_nonaffine")
         for m in random_members(dim, per, 271, tag)
     )
-    checked, bad = _sweep(chain(small, drawn), lambda m: critical_number(m) <= 2)
-    return bad is None, f"{checked} members checked" + _fails_on(bad)
+    checked, bad = _sweep((m, critical_number(m) <= 2) for m in chain(small, drawn))
+    return bad is None, f"{checked} members checked" + _fails(bad, "on ")
 
 
 @_check
@@ -156,10 +156,10 @@ def check_affine_characterization(level: str) -> tuple[bool, str]:
     """Affineness must coincide with having no induced odd circuit."""
     top = 4 if level == _FULL else 3
     checked, bad = _sweep(
-        point_sets(range(1, top + 1)),
-        lambda m: is_affine(m) == (find_induced_odd_circuit(m) is None),
+        (m, is_affine(m) == (find_induced_odd_circuit(m) is None))
+        for m in point_sets(range(1, top + 1))
     )
-    return bad is None, f"{checked} subsets checked" + _fails_on(bad)
+    return bad is None, f"{checked} subsets checked" + _fails(bad, "on ")
 
 
 @_check
@@ -171,7 +171,8 @@ def check_special_hyperplane(level: str) -> tuple[bool, str]:
     # find_special_hyperplane returns a hyperplane, a nonempty tuple, or
     # raises TheoremViolation on exhaustion.
     checked, _ = _sweep(
-        chain(small, random_members(5, count, 547, "ai4")), find_special_hyperplane
+        (m, find_special_hyperplane(m))
+        for m in chain(small, random_members(5, count, 547, "ai4"))
     )
     return True, f"{checked} AI4-free inputs, zero exhaustion errors"
 
@@ -195,46 +196,41 @@ def check_stabilizer_clauses(level: str) -> tuple[bool, str]:
     count = 1000 if level == _FULL else 200
     rng = random.Random("stabilizer")
     drawn = (_random_set(rng, 1, 6) for _ in range(count))
-    checked, bad = _sweep(chain(point_sets(range(1, 4)), drawn), _stabilizer_clauses)
-    return bad is None, f"{checked} matroids checked" + _fails_on(bad)
+    cases = chain(point_sets(range(1, 4)), drawn)
+    checked, bad = _sweep((m, _stabilizer_clauses(m)) for m in cases)
+    return bad is None, f"{checked} matroids checked" + _fails(bad, "on ")
+
+
+def _gains_is(m: Matroid, img: Matroid, sizes: tuple[int, ...]) -> bool:
+    """Whether img has an induced independent set of one of sizes that m lacks."""
+    return any(
+        find_induced_is(m, s) is None and find_induced_is(img, s) is not None
+        for s in sizes
+    )
+
+
+def _preservation_cases(count: int) -> Iterator[tuple[tuple[str, Matroid], bool]]:
+    rng = random.Random("preservation")
+    for _ in range(count):
+        m = _random_set(rng, 1, 5)
+        d = double(m)
+        yield ("chi", m), critical_number(d) == critical_number(m)
+        yield ("triangle", m), find_triangle(m) is not None or find_triangle(d) is None
+        yield ("independent-set", m), not _gains_is(m, d, (3, 4))
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        m = _random_affine(rng, n)
+        e = expand1(m)
+        yield ("affine", m), is_affine(e)
+        yield ("independent-set", m), not _gains_is(m, e, (4, 5))
 
 
 @_check
 def check_preservation(level: str) -> tuple[bool, str]:
     """Doubling and 1-expansion must preserve their stated properties."""
     count = 200 if level == _FULL else 50
-    rng = random.Random("preservation")
-    bad = None
-    for _ in range(count):
-        m = _random_set(rng, 1, 5)
-        d = double(m)
-        if critical_number(d) != critical_number(m):
-            bad = ("chi", m)
-            break
-        if find_triangle(m) is None and find_triangle(d) is not None:
-            bad = ("triangle", m)
-            break
-        if any(
-            find_induced_is(m, s) is None and find_induced_is(d, s) is not None
-            for s in (3, 4)
-        ):
-            bad = ("independent-set", m)
-            break
-    if bad is None:
-        for _ in range(count):
-            n = rng.randint(1, 5)
-            m = _random_affine(rng, n)
-            e = expand1(m)
-            if not is_affine(e):
-                bad = ("affine", m)
-                break
-            if any(
-                find_induced_is(m, s) is None and find_induced_is(e, s) is not None
-                for s in (4, 5)
-            ):
-                bad = ("independent-set", m)
-                break
-    return bad is None, f"2x{count} inputs" + ("" if bad is None else f"; fails {bad}")
+    _, bad = _sweep(_preservation_cases(count))
+    return bad is None, f"2x{count} inputs" + _fails(bad)
 
 
 @functools.lru_cache(maxsize=8)
@@ -242,98 +238,88 @@ def _alpha_only_canon(dim: int) -> frozenset[int]:
     return frozenset(bits for _, bits in walk_grammar("ai4", dim, "B")[0])
 
 
-@_check
-def check_alpha_beta_ledger(level: str) -> tuple[bool, str]:
-    """The eight construction clauses, plus exhaustive small round-trips."""
-    count = 200 if level == _FULL else 50
+def _ledger_cases(count: int) -> Iterator[tuple[object, object]]:
+    """One case per input of each ledger stage, labelled with the sorted
+    clauses that input fails, then the small round-trips."""
     rng = random.Random("ledger")
     alphas = (alpha0, alpha1)
     betas = (beta0, beta1)
-    fails: list[str] = []
 
     for _ in range(count):
         m = _random_set(rng, 1, 4)
         free = find_ai4_violation(m) is None
+        fails: set[str] = set()
         for g in alphas + betas:
             if find_ai4_violation(g(m)) is None and not free:
-                fails.append("t1")
+                fails.add("t1")
         for g in alphas:
             if free and find_ai4_violation(g(m)) is not None:
-                fails.append("t2")
+                fails.add("t2")
             if (find_induced_is(m, 3) is None) != (find_induced_is(g(m), 3) is None):
-                fails.append("t3")
+                fails.add("t3")
         if find_induced_is(beta1(m), 3) is not None:
-            fails.append("t6")
+            fails.add("t6")
         if m.bits != closure(m.points, m.n).members and find_induced_is(beta0(m), 3) is None:
-            fails.append("t7")
-        if fails:
-            break
+            fails.add("t7")
+        yield sorted(fails), not fails
 
-    if not fails:
-        for _ in range(count):
-            n = rng.randint(1, 4)
-            steps = tuple(
-                rng.choice(("alpha0", "alpha1", "beta1")) for _ in range(n - 1)
-            )
-            base = Matroid(1, 0) if rng.random() < 0.5 else Matroid(1, 2)
-            m = Certificate(base, steps, random_invertible_map(n, rng)).replay()
-            if find_ai4_violation(m) is not None or find_induced_is(m, 3) is not None:
-                fails.append("t4-precondition")
-                break
-            for g in betas:
-                if find_ai4_violation(g(m)) is not None:
-                    fails.append("t4")
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        steps = tuple(
+            rng.choice(("alpha0", "alpha1", "beta1")) for _ in range(n - 1)
+        )
+        base = Matroid(1, 0) if rng.random() < 0.5 else Matroid(1, 2)
+        m = Certificate(base, steps, random_invertible_map(n, rng)).replay()
+        if find_ai4_violation(m) is not None or find_induced_is(m, 3) is not None:
+            fails = {"t4-precondition"}
+        else:
+            fails = {"t4" for g in betas if find_ai4_violation(g(m)) is not None}
             while True:
                 cand = _random_set(rng, 3, 4)
                 if find_induced_is(cand, 3) is not None:
                     break
-            for g in betas:
-                if find_ai4_violation(g(cand)) is None:
-                    fails.append("t5")
-            if fails:
-                break
+            fails |= {"t5" for g in betas if find_ai4_violation(g(cand)) is None}
+        yield sorted(fails), not fails
 
-    if not fails:
-        for _ in range(count):
-            n = rng.randint(1, 4)
-            pts = [rng.randrange(1, 1 << n) for _ in range(rng.randint(0, n))]
-            img = beta0(Matroid(n, closure(pts, n).members))
-            if canonical_form(img)[0].bits not in _alpha_only_canon(img.n):
-                fails.append("t8")
-                break
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        pts = [rng.randrange(1, 1 << n) for _ in range(rng.randint(0, n))]
+        img = beta0(Matroid(n, closure(pts, n).members))
+        yield ["t8"], canonical_form(img)[0].bits in _alpha_only_canon(img.n)
 
-    roundtrips = 0
-    if not fails:
-        # decompose_ai4 raises unless its certificate replays to m.
-        roundtrips, _ = _sweep(point_sets((1, 2, 3)), decompose_ai4)
+    # decompose_ai4 raises unless its certificate replays to m.
+    for m in point_sets((1, 2, 3)):
+        yield m, decompose_ai4(m)
 
-    return not fails, (
-        f"{count} inputs per clause, {roundtrips} round-trips"
-        + ("" if not fails else f"; fails {sorted(set(fails))}")
+
+@_check
+def check_alpha_beta_ledger(level: str) -> tuple[bool, str]:
+    """The eight construction clauses, plus exhaustive small round-trips."""
+    count = 200 if level == _FULL else 50
+    checked, bad = _sweep(_ledger_cases(count))
+    # Each of the three clause stages yields one case per input.
+    roundtrips = checked - 3 * count if bad is None else 0
+    return bad is None, (
+        f"{count} inputs per clause, {roundtrips} round-trips" + _fails(bad)
     )
+
+
+def _sag_cases(top: int) -> Iterator[tuple[tuple[int, str], bool]]:
+    for n in range(3, top + 1):
+        m = sag(n)
+        yield (n, "size"), len(m.points) == (1 << (n - 1)) + 1
+        yield (n, "freeness"), i4tf_witness(m) is None
+        yield (n, "chi"), critical_number(m) == 2
+        rec = recognize_sag(m)
+        yield (n, "recognition"), rec is not None and rec[0] == n
 
 
 @_check
 def check_sag_properties(level: str) -> tuple[bool, str]:
     """Series extended affine geometries: size, freeness, chi, recognition."""
     top = 8 if level == _FULL else 6
-    bad = None
-    for n in range(3, top + 1):
-        m = sag(n)
-        if len(m.points) != (1 << (n - 1)) + 1:
-            bad = (n, "size")
-            break
-        if i4tf_witness(m) is not None:
-            bad = (n, "freeness")
-            break
-        if critical_number(m) != 2:
-            bad = (n, "chi")
-            break
-        rec = recognize_sag(m)
-        if rec is None or rec[0] != n:
-            bad = (n, "recognition")
-            break
-    return bad is None, f"n in 3..{top}" + ("" if bad is None else f"; fails {bad}")
+    _, bad = _sweep(_sag_cases(top))
+    return bad is None, f"n in 3..{top}" + _fails(bad)
 
 
 CRITERIA = (
