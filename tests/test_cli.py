@@ -643,3 +643,25 @@ def test_cli_import_leaves_out_the_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+VERBS = ("check", "decompose", "build", "canon", "enumerate", "random", "selftest")
+# Help for the program and each verb, then two usage errors.
+USAGE_CALLS = (
+    [["--help"]]
+    + [[verb, "--help"] for verb in VERBS]
+    + [[], ["enumerate", "--dim", "3", "--class", "x"]]
+)
+
+
+def test_usage_text_frozen(monkeypatch, capsys):
+    # argparse wraps to the terminal width, which COLUMNS fixes.
+    monkeypatch.setenv("COLUMNS", "80")
+    parts = []
+    for argv in USAGE_CALLS:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        parts.append([argv, exc.value.code, out.out, out.err])
+    digest = hashlib.sha256(json.dumps(parts).encode()).hexdigest()
+    assert digest == "32a4e789591a06a2de13cad13013365e135e63012f29583b53cf6cf1c602f197"
