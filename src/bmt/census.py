@@ -25,9 +25,8 @@ from .decompose import NotMember, decompose_i4tf
 from .detect import i4tf_witness
 from .errors import TheoremViolation
 from .gf2 import compose, identity_map, invert, random_invertible_map, rank
-from .matroid import Matroid, canonical_form, is_affine, serialize_bmat
+from .matroid import CLASS_TAGS, Matroid, canonical_form, is_affine, serialize_bmat
 
-CLASS_TAGS = ("i4tf_nonaffine", "i4tf_affine", "ai4")
 DIM_BOUND = 8
 
 _BASES = (Matroid(1, 0), Matroid(1, 2))

@@ -14,23 +14,14 @@ import functools
 import json
 import os
 import sys
-from typing import Callable
+from types import ModuleType
+from typing import TYPE_CHECKING, Callable
 
-from .census import CLASS_TAGS, enumerate_generated, random_members
-from .construct import certificate_from_json
-from .decompose import DoubledSag, NotMember, decompose_i4tf
-from .detect import (
-    Witness,
-    affine_witness,
-    critical_number,
-    find_ai4_violation,
-    find_induced_is,
-    find_induced_odd_circuit,
-    find_triangle,
-)
 from .errors import FormatError, TheoremViolation
-from .matroid import MAX_DIM, Matroid, canonical_form, parse_bmat, serialize_bmat
-from .selftest import run_selftest
+from .matroid import CLASS_TAGS, MAX_DIM, Matroid, canonical_form, parse_bmat, serialize_bmat
+
+if TYPE_CHECKING:
+    from .detect import Witness
 
 PROP_NAMES = ("triangle", "i4", "i3", "ai4", "affine", "oddcircuit", "chi")
 DEFAULT_PROPS = "triangle,i4"
@@ -51,26 +42,26 @@ def _witness_dict(w: Witness) -> dict:
 
 
 def _check_prop(
-    m: Matroid, name: str, odd_circuit: Callable[[], Witness | None]
+    m: Matroid, name: str, odd_circuit: Callable[[], Witness | None], detect: ModuleType
 ) -> tuple[bool, str, dict]:
     """Returns (passed, text line, json fragment) for one property, one
-    of PROP_NAMES.
+    of PROP_NAMES, from the searches of the `detect` module.
 
     odd_circuit() gives find_induced_odd_circuit(m), already verified;
     `affine` and `oddcircuit` share it.
     """
     if name == "triangle":
-        w = find_triangle(m)
+        w = detect.find_triangle(m)
     elif name == "i4":
-        w = find_induced_is(m, 4)
+        w = detect.find_induced_is(m, 4)
     elif name == "i3":
-        w = find_induced_is(m, 3)
+        w = detect.find_induced_is(m, 3)
     elif name == "ai4":
-        w = find_ai4_violation(m)
+        w = detect.find_ai4_violation(m)
     elif name == "oddcircuit":
         w = odd_circuit()
     elif name == "affine":
-        aw = affine_witness(m)
+        aw = detect.affine_witness(m)
         if aw is not None:
             return True, f"affine: yes (functional {aw})", {"pass": True, "functional": aw}
         w = odd_circuit()
@@ -82,7 +73,7 @@ def _check_prop(
             "witness": _witness_dict(w),
         }
     elif name == "chi":
-        value = critical_number(m)
+        value = detect.critical_number(m)
         return True, f"chi: {value}", {"pass": True, "value": value}
     if w is None:
         return True, f"{name}: none", {"pass": True, "witness": None}
@@ -93,6 +84,8 @@ def _check_prop(
 
 
 def _cmd_check(args) -> int:
+    from . import detect
+
     m = _read_matroid(args.file)
     names = list(dict.fromkeys(s.strip() for s in args.props.split(",") if s.strip()))
     if not names:
@@ -104,14 +97,14 @@ def _cmd_check(args) -> int:
     @functools.cache
     def odd_circuit() -> Witness | None:
         # Searched and verified once, by whichever property asks first.
-        w = find_induced_odd_circuit(m)
+        w = detect.find_induced_odd_circuit(m)
         return w and w.checked(m)
 
     results = {}
     lines = []
     failed = False
     for name in names:
-        ok, line, frag = _check_prop(m, name, odd_circuit)
+        ok, line, frag = _check_prop(m, name, odd_circuit, detect)
         results[name] = frag
         lines.append(line)
         if not ok:
@@ -125,6 +118,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .decompose import DoubledSag, NotMember, decompose_i4tf
+
     m = _read_matroid(args.file)
     res = decompose_i4tf(m)
     oc = res.outcome
@@ -162,6 +157,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    from .construct import certificate_from_json
+
     with open(args.cert) as fh:
         cert = certificate_from_json(fh.read())
     m = cert.replay()
@@ -182,6 +179,8 @@ def _cmd_canon(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .census import enumerate_generated
+
     rep = enumerate_generated(args.dim, getattr(args, "class"), threads=args.threads)
     if args.out:
         rep.write_representatives(args.out)
@@ -196,6 +195,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_random(args) -> int:
+    from .census import random_members
+
     if not 1 <= args.dim <= MAX_DIM:
         raise FormatError(f"dimension must be between 1 and {MAX_DIM}")
     if not 1 <= args.count <= MAX_COUNT:
@@ -220,6 +221,8 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     rep = run_selftest(args.level)
     if args.json:
         print(rep.to_json())

@@ -28,6 +28,9 @@ from .gf2 import (
     xor_translate,
 )
 
+# The tags of the classes that census enumerates and samples.
+CLASS_TAGS = ("i4tf_nonaffine", "i4tf_affine", "ai4")
+
 
 @dataclass(frozen=True)
 class Matroid:

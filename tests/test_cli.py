@@ -21,7 +21,7 @@ from bmt import (
     sag,
     serialize_bmat,
 )
-from bmt import census, cli, decompose, selftest
+from bmt import census, decompose, detect, selftest
 from bmt.cli import MAX_COUNT, _build_parser, main
 from bmt.detect import Witness
 from bmt.errors import TheoremViolation
@@ -78,7 +78,7 @@ def test_check_shares_one_odd_circuit_search(c5_file, monkeypatch, capsys):
     for prop in ("affine", "oddcircuit"):
         assert main(["check", "--props", prop, c5_file]) == 1
         want += capsys.readouterr().out.splitlines()
-    search = cli.find_induced_odd_circuit
+    search = detect.find_induced_odd_circuit
     calls = []
 
     def counting(m):
@@ -92,7 +92,7 @@ def test_check_shares_one_odd_circuit_search(c5_file, monkeypatch, capsys):
         verified.append(w)
         return verify(w, m)
 
-    monkeypatch.setattr(cli, "find_induced_odd_circuit", counting)
+    monkeypatch.setattr(detect, "find_induced_odd_circuit", counting)
     monkeypatch.setattr(Witness, "verify", verify_counting)
     assert main(["check", "--props", "affine,oddcircuit", c5_file]) == 1
     assert capsys.readouterr().out.splitlines() == want
@@ -114,7 +114,7 @@ def test_check_affine_member(tmp_path, capsys):
 def test_check_affine_without_odd_circuit_is_theorem_violation(c5_file, monkeypatch, capsys):
     # A set with no affine functional has an induced odd circuit; a search
     # that finds none is a bug, not a verdict.
-    monkeypatch.setattr(cli, "find_induced_odd_circuit", lambda m: None)
+    monkeypatch.setattr(detect, "find_induced_odd_circuit", lambda m: None)
     assert main(["check", "--props", "affine", c5_file]) == 3
     out = capsys.readouterr()
     assert out.out == ""
@@ -404,7 +404,7 @@ def test_corrupted_witness_is_theorem_violation(tmp_path, pg3_file, monkeypatch,
     monkeypatch.setattr(decompose, "find_induced_is", lambda m, s: bad)
     assert main(["decompose", str(i4_file)]) == 3
     assert "fails to verify" in capsys.readouterr().err
-    monkeypatch.setattr(cli, "find_triangle", lambda m: Witness("triangle", (1, 2, 4)))
+    monkeypatch.setattr(detect, "find_triangle", lambda m: Witness("triangle", (1, 2, 4)))
     assert main(["check", pg3_file]) == 3
     assert "fails to verify" in capsys.readouterr().err
 
@@ -413,7 +413,7 @@ def test_unexpected_exception_is_internal_error(c5_file, monkeypatch, capsys):
     def broken(m):
         raise KeyError("lost point")
 
-    monkeypatch.setattr(cli, "find_triangle", broken)
+    monkeypatch.setattr(detect, "find_triangle", broken)
     assert main(["check", c5_file]) == 4
     out = capsys.readouterr()
     assert out.out == ""
@@ -665,3 +665,68 @@ def test_usage_text_frozen(monkeypatch, capsys):
         parts.append([argv, exc.value.code, out.out, out.err])
     digest = hashlib.sha256(json.dumps(parts).encode()).hexdigest()
     assert digest == "32a4e789591a06a2de13cad13013365e135e63012f29583b53cf6cf1c602f197"
+
+
+def _fresh(code: str, *args: str) -> str:
+    # The last stdout line of code run in a new interpreter.
+    src = os.path.dirname(os.path.dirname(bmt.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+# What each verb loads besides cli and the parser's errors, gf2 and matroid.
+VERB_MODULES = {
+    "canon": [],
+    "build": ["construct"],
+    "check": ["detect"],
+    "decompose": ["construct", "decompose", "detect"],
+    "enumerate": ["census", "construct", "decompose", "detect"],
+    "random": ["census", "construct", "decompose", "detect"],
+}
+
+
+def test_each_verb_loads_only_the_modules_it_runs(tmp_path, capsys):
+    path = str(tmp_path / "sag4.bmat")
+    cert = str(tmp_path / "cert.json")
+    with open(path, "w") as fh:
+        fh.write(serialize_bmat(sag(4)))
+    assert main(["decompose", path, "-o", cert]) == 0
+    capsys.readouterr()
+    argvs = {
+        "canon": ["canon", path],
+        "build": ["build", cert],
+        "check": ["check", path],
+        "decompose": ["decompose", path],
+        "enumerate": ["enumerate", "--dim", "3", "--class", "ai4"],
+        "random": ["random", "--dim", "4", "--count", "1", "--seed", "1",
+                   "--class", "ai4", "--out", str(tmp_path)],
+    }
+    code = (
+        "import sys\n"
+        "from bmt.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(sorted(m[4:] for m in sys.modules if m.startswith('bmt.')))\n"
+    )
+    base = ["cli", "errors", "gf2", "matroid"]
+    for verb, argv in argvs.items():
+        assert _fresh(code, *argv) == str(sorted(base + VERB_MODULES[verb])), verb
+
+
+def test_import_bmt_loads_no_module_until_a_name_is_read():
+    # A submodule is an attribute as well, and a star import binds every
+    # public name, the object getattr gives.
+    code = (
+        "import sys\n"
+        "import bmt\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('bmt.'))\n"
+        "gf2 = bmt.gf2.__name__\n"
+        "star = {}\n"
+        "exec('from bmt import *', star)\n"
+        "bad = [n for n in bmt.__all__ if n not in star or getattr(bmt, n) is not star[n]]\n"
+        "print([loaded, gf2, bad, len(bmt.__all__)])\n"
+    )
+    assert _fresh(code) == "[[], 'bmt.gf2', [], 63]"
