@@ -717,16 +717,18 @@ def test_each_verb_loads_only_the_modules_it_runs(tmp_path, capsys):
 
 
 def test_import_bmt_loads_no_module_until_a_name_is_read():
-    # A submodule is an attribute as well, and a star import binds every
-    # public name, the object getattr gives.
+    # dir() lists every public name before one is loaded, a submodule is an
+    # attribute as well, and a star import binds every public name, the
+    # object getattr gives.
     code = (
         "import sys\n"
         "import bmt\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('bmt.'))\n"
+        "listed = set(bmt.__all__) <= set(dir(bmt))\n"
         "gf2 = bmt.gf2.__name__\n"
         "star = {}\n"
         "exec('from bmt import *', star)\n"
         "bad = [n for n in bmt.__all__ if n not in star or getattr(bmt, n) is not star[n]]\n"
-        "print([loaded, gf2, bad, len(bmt.__all__)])\n"
+        "print([loaded, listed, gf2, bad, len(bmt.__all__)])\n"
     )
-    assert _fresh(code) == "[[], 'bmt.gf2', [], 63]"
+    assert _fresh(code) == "[[], True, 'bmt.gf2', [], 63]"

@@ -60,10 +60,10 @@ def test_every_import_is_used_or_exported():
 
 def _defined(stmt: ast.stmt) -> list[str]:
     # The functions, classes and constants a top-level statement defines,
-    # less dunder names, which the interpreter reads (__all__, and PEP 562's
-    # module __getattr__ and __dir__).
+    # less what the interpreter reads: dunder assignments such as __all__,
+    # and PEP 562's module __getattr__ and __dir__.
     if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-        return [] if stmt.name.startswith("__") else [stmt.name]
+        return [] if stmt.name in ("__getattr__", "__dir__") else [stmt.name]
     if isinstance(stmt, ast.Assign):
         targets = stmt.targets
     elif isinstance(stmt, ast.AnnAssign):
