@@ -667,6 +667,34 @@ def test_usage_text_frozen(monkeypatch, capsys):
     assert digest == "32a4e789591a06a2de13cad13013365e135e63012f29583b53cf6cf1c602f197"
 
 
+# Argument errors, help placed oddly, and argv that argparse reads past.
+ERROR_CALLS = (
+    ["frob"], ["c"], ["-"], ["--json"],
+    ["--bogus", "canon", "F"], ["canon", "F", "extra"], ["--js", "canon", "F"],
+    ["--", "canon", "F"], ["canon", "--", "-x"],
+    ["check"], ["check", "--props"], ["-h", "check"], ["check", "-h", "x"],
+    ["canon", "--help", "--json"],
+    ["enumerate", "--dim", "x", "--class", "ai4"], ["random", "--dim", "3"],
+    ["selftest", "--lev", "bogus"],
+)
+
+
+def test_usage_errors_frozen(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F").write_text(serialize_bmat(Matroid(4, circuit(5).bits)))
+    parts = []
+    for argv in ERROR_CALLS:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        parts.append([argv, code, out.out, out.err])
+    digest = hashlib.sha256(json.dumps(parts).encode()).hexdigest()
+    assert digest == "8eba5f5e90568ef7de1417b725460c24a479edc0c3e519a3b82a8bc5355a5fd0"
+
+
 def _fresh(code: str, *args: str) -> str:
     # The last stdout line of code run in a new interpreter.
     src = os.path.dirname(os.path.dirname(bmt.__file__))
