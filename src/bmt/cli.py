@@ -181,7 +181,7 @@ def _cmd_canon(args) -> int:
 def _cmd_enumerate(args) -> int:
     from .census import enumerate_generated
 
-    rep = enumerate_generated(args.dim, getattr(args, "class"), threads=args.threads)
+    rep = enumerate_generated(args.dim, args.tag, threads=args.threads)
     if args.out:
         rep.write_representatives(args.out)
         path = os.path.join(args.out, f"{rep.tag}-d{rep.dim}-report.json")
@@ -201,13 +201,12 @@ def _cmd_random(args) -> int:
         raise FormatError(f"dimension must be between 1 and {MAX_DIM}")
     if not 1 <= args.count <= MAX_COUNT:
         raise FormatError(f"count must be between 1 and {MAX_COUNT}")
-    members = random_members(args.dim, args.count, args.seed, getattr(args, "class"))
+    members = random_members(args.dim, args.count, args.seed, args.tag)
     os.makedirs(args.out, exist_ok=True)
-    tag = getattr(args, "class")
     paths = []
     for i, m in enumerate(members):
         path = os.path.join(
-            args.out, f"random-{tag}-d{args.dim}-s{args.seed}-{i:04d}.bmat"
+            args.out, f"random-{args.tag}-d{args.dim}-s{args.seed}-{i:04d}.bmat"
         )
         with open(path, "w") as fh:
             fh.write(serialize_bmat(m))
@@ -231,58 +230,75 @@ def _cmd_selftest(args) -> int:
     return 0 if rep.passed else 1
 
 
+# Each verb's help line, handler and add_argument calls, as (names, keywords).
+VERBS = {
+    "check": ("test properties of a point set", _cmd_check, [
+        (["file"], {}),
+        (["--props"], dict(default=DEFAULT_PROPS, help=",".join(PROP_NAMES))),
+    ]),
+    "decompose": ("membership with certificate or witness", _cmd_decompose, [
+        (["file"], {}),
+        (["-o", "--out"], dict(help="write certificate or witness JSON here")),
+    ]),
+    "build": ("replay a certificate to a BMAT file", _cmd_build, [
+        (["cert"], {}),
+        (["-o", "--out"], dict(help="write the BMAT text here")),
+    ]),
+    "canon": ("print the canonical form", _cmd_canon, [(["file"], {})]),
+    "enumerate": ("iso-class census of a generated class", _cmd_enumerate, [
+        (["--dim"], dict(type=int, required=True)),
+        (["--class"], dict(dest="tag", choices=CLASS_TAGS, required=True)),
+        (["--out"], dict(help="directory for representatives and report")),
+        (["--threads"], dict(type=int, default=1)),
+    ]),
+    "random": ("sample class members to BMAT files", _cmd_random, [
+        (["--dim"], dict(type=int, required=True)),
+        (["--count"], dict(type=int, required=True)),
+        (["--seed"], dict(type=int, required=True)),
+        (["--class"], dict(dest="tag", choices=CLASS_TAGS, required=True)),
+        (["--out"], dict(default=".", help="output directory")),
+    ]),
+    "selftest": ("run the verification suites", _cmd_selftest, [
+        (["--level"], dict(choices=("quick", "full"), default="quick")),
+    ]),
+}
+
+
+class _VerbParser:
+    """Stands in for one verb's parser among the subparsers.
+
+    argparse uses a subparser only to call its parse_known_args with the
+    verb's arguments, so the real parser is built there: a call builds
+    none for the verbs it does not name.
+    """
+
+    def __init__(self, arguments: list, **kwargs) -> None:
+        self.arguments = arguments
+        self.kwargs = kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = argparse.ArgumentParser(**self.kwargs)
+        for names, kw in self.arguments:
+            parser.add_argument(*names, **kw)
+        return parser.parse_known_args(args, namespace)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="bmt", description="binary matroid structure toolkit"
     )
     top.add_argument("--json", action="store_true", help="JSON output on stdout")
-    sub = top.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("check", help="test properties of a point set")
-    p.add_argument("file")
-    p.add_argument("--props", default=DEFAULT_PROPS, help=",".join(PROP_NAMES))
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("decompose", help="membership with certificate or witness")
-    p.add_argument("file")
-    p.add_argument("-o", "--out", help="write certificate or witness JSON here")
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("build", help="replay a certificate to a BMAT file")
-    p.add_argument("cert")
-    p.add_argument("-o", "--out", help="write the BMAT text here")
-    p.set_defaults(func=_cmd_build)
-
-    p = sub.add_parser("canon", help="print the canonical form")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_canon)
-
-    p = sub.add_parser("enumerate", help="iso-class census of a generated class")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--class", choices=CLASS_TAGS, required=True)
-    p.add_argument("--out", help="directory for representatives and report")
-    p.add_argument("--threads", type=int, default=1)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("random", help="sample class members to BMAT files")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--class", choices=CLASS_TAGS, required=True)
-    p.add_argument("--out", default=".", help="output directory")
-    p.set_defaults(func=_cmd_random)
-
-    p = sub.add_parser("selftest", help="run the verification suites")
-    p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.set_defaults(func=_cmd_selftest)
-
+    sub = top.add_subparsers(dest="verb", required=True, parser_class=_VerbParser)
+    for verb, (help_line, _, arguments) in VERBS.items():
+        sub.add_parser(verb, help=help_line, arguments=arguments)
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        _, run, _ = VERBS[args.verb]
+        return run(args)
     except TheoremViolation as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return 3

@@ -1,5 +1,6 @@
 """Command line driver: verbs, exit codes, machine readable output."""
 
+import argparse
 import hashlib
 import json
 import os.path
@@ -693,6 +694,23 @@ def test_usage_errors_frozen(tmp_path, monkeypatch, capsys):
         parts.append([argv, code, out.out, out.err])
     digest = hashlib.sha256(json.dumps(parts).encode()).hexdigest()
     assert digest == "8eba5f5e90568ef7de1417b725460c24a479edc0c3e519a3b82a8bc5355a5fd0"
+
+
+def test_a_call_builds_only_the_parser_of_its_verb(c5_file, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["canon", c5_file]) == 0
+    assert built == ["bmt", "bmt canon"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert built == ["bmt"]
 
 
 def _fresh(code: str, *args: str) -> str:
