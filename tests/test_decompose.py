@@ -563,3 +563,40 @@ def test_decompose_affine_step_frozen():
         )
     digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
     assert digest == FROZEN_AFFINE_STEP_DIGEST
+
+
+# sha256 of find_special_hyperplane's result on _special_hyperplane_inputs()
+# and of functional_kernel for every w at dims 1..10, one record each,
+# joined by ";".  Frozen from the code that read each scanned kernel mask
+# from a lazily filled table.
+FROZEN_SPECIAL_HYPERPLANE_DIGEST = "86bffd8fd449d34d3065b18354077cfdfa0d1bea919c3494627a530a740e1fd4"
+
+
+def _special_hyperplane_inputs():
+    # Every set through dim 4, then per dim 5..9 seeded AI4-free members,
+    # which always have a special hyperplane, and uniform random sets,
+    # most of which have none and scan every functional.
+    rng = random.Random(SEED + 11)
+    out = [Matroid(n, bits) for n in (1, 2, 3, 4) for bits in range(0, 1 << (1 << n), 2)]
+    for n in range(5, 10):
+        out += random_members(n, 8, SEED + n, "ai4")
+        out += [Matroid(n, random_bits(rng, n)) for _ in range(8)]
+    return out
+
+
+def test_find_special_hyperplane_frozen():
+    parts = []
+    for m in _special_hyperplane_inputs():
+        try:
+            sh = find_special_hyperplane(m)
+        except TheoremViolation:
+            parts.append("raises TheoremViolation")
+            continue
+        f = sh.flat
+        parts.append(f"{sh.case}:{sh.functional}:{f.dim}:{f.basis}:{f.members}")
+    for n in range(1, 11):
+        for w in range(1, 1 << n):
+            f = functional_kernel(w, n)
+            parts.append(f"{n}:{w}:{f.dim}:{f.basis}:{f.members}")
+    digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
+    assert digest == FROZEN_SPECIAL_HYPERPLANE_DIGEST
