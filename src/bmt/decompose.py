@@ -18,9 +18,9 @@ from typing import NamedTuple
 from .errors import TheoremViolation
 from .gf2 import (
     Flat,
-    Kernels,
     LinearMap,
     closure,
+    coordinate_masks,
     functional_kernel,
     linear_system_solve,
     mask_points,
@@ -73,14 +73,20 @@ def find_special_hyperplane(m: Matroid) -> SpecialHyperplane:
     first holding relation among: E inside H, complement inside H, E
     disjoint from H, H inside E.  Inputs satisfying the size 4 freeness
     condition always have one; exhaustion is a falsification signal.
-    Each kernel is read as a point mask from one Kernels table; only the
-    returned one is built as a Flat with a reduced basis.
+    Each kernel is a point mask made from the last one by one XOR; only
+    the returned one is built as a Flat with a reduced basis.
     """
     n = m.n
-    kernels = Kernels(n)
-    comp = m.bits ^ kernels.full
+    full = (1 << (1 << n)) - 2
+    comp = m.bits ^ full
+    # From w - 1 to w, bits 0..t flip, t the lowest set bit of w, and so
+    # do the points with an odd number of bits 0..t set: prefix[t].
+    prefix = coordinate_masks(n)
+    for t in range(1, n):
+        prefix[t] ^= prefix[t - 1]
+    members = full
     for w in range(1, 1 << n):
-        members = kernels[w]
+        members ^= prefix[(w & -w).bit_length() - 1]
         if m.bits & ~members == 0:
             case = "e_subset_h"
         elif comp & ~members == 0:

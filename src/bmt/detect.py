@@ -18,6 +18,7 @@ from .gf2 import (
     LinearMap,
     Translates,
     _LOW,
+    coordinate_masks,
     coset_leaders,
     functional_kernel,
     mask_points,
@@ -384,11 +385,10 @@ def critical_number(m: Matroid) -> int:
     if affine_witness(m) is not None:
         return 1
     e, n = m.bits, m.n
-    # hi[i] holds the p with bit i set; read as a set of functionals w, it
-    # is also the w with bit i set, so the w with <w, p> = 1 are the XOR
-    # of hi[i] over the bits i of p.
+    # Read as a set of functionals w, hi[i] is the w with bit i set, so the
+    # w with <w, p> = 1 are the XOR of hi[i] over the bits i of p.
     full = (1 << (1 << n)) - 1
-    hi = [full & ~_LOW[i] for i in range(n)]
+    hi = coordinate_masks(n)
     s = e
     for k in range(1, 1 << n):
         s ^= e & hi[(k & -k).bit_length() - 1]

@@ -103,30 +103,23 @@ def stabilizer(table: Translates | list[int], n: int) -> int:
     return acc
 
 
-class Kernels(dict):
-    """The kernels of the functionals of GF(2)^n: entry f != 0 is the
-    point set {x : <f, x> = 0}, 0 left out.  The pairing is symmetric, so
-    entry x is also the set of functionals f != 0 that vanish at x.
+def coordinate_masks(n: int) -> list[int]:
+    """Mask i, for i < n, holds the points of GF(2)^n with bit i set."""
+    full = (1 << (1 << n)) - 1
+    return [full ^ (low & full) for low in _LOW[:n]]
 
-    Entry 2^i is the low mask of bit i; any other entry f is made on first
-    use from entries f - s and s, s the top bit of f, since <f, x> = 0
-    exactly when <f - s, x> = <s, x>.
+
+def kernel_list(n: int) -> list[int]:
+    """Entry f is the kernel {x : <f, x> = 0} of the functional f of
+    GF(2)^n, 0 left out, so entry 0 holds every point; by symmetry entry x
+    is also the set of functionals f != 0 that vanish at x.  Built by
+    doubling, as translate_list is: entry f + 2^i is entry f with the
+    points that have bit i set flipped.
     """
-
-    __slots__ = ("full",)
-
-    def __init__(self, n: int) -> None:
-        super().__init__()
-        self.full = (1 << (1 << n)) - 2
-
-    def __missing__(self, f: int) -> int:
-        s = 1 << (f.bit_length() - 1)
-        if f == s:
-            out = _LOW[f.bit_length() - 1] & self.full
-        else:
-            out = self[f ^ s] ^ self[s] ^ self.full
-        self[f] = out
-        return out
+    out = [(1 << (1 << n)) - 2]
+    for hi in coordinate_masks(n):
+        out += [k ^ hi for k in out]
+    return out
 
 
 class Transvections(dict):
@@ -139,12 +132,12 @@ class Transvections(dict):
     on E - (E + w), the points e with e + w off E.  The entry is the
     kernel of w cut by the kernel of each of those points, made on first
     use; the cutting stops once no functional is left.  table gives the
-    translates of E, as a Translates table or a translate_list.
+    translates of E (Translates or translate_list), kernels a kernel_list.
     """
 
     __slots__ = ("table", "kernels")
 
-    def __init__(self, table: Translates | list[int], kernels: Kernels) -> None:
+    def __init__(self, table: Translates | list[int], kernels: list[int]) -> None:
         super().__init__()
         self.table = table
         self.kernels = kernels
@@ -287,7 +280,7 @@ def functional_kernel(w: int, n: int) -> Flat:
             v |= 1 << pbit
         vecs.append(v)
     # Already reduced: vector i leads with bit i, and only pbit is shared.
-    return Flat(n - 1, tuple(vecs), Kernels(n)[w])
+    return Flat(n - 1, tuple(vecs), span_members(vecs))
 
 
 def linear_system_solve(
@@ -500,11 +493,11 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     full = (1 << size) - 2
     if bits == 0 or bits == full:
         return bits, identity_map(n)
-    # Entry v is the column E + v; entry v of cosets is the coset v + W of
-    # the set's translation stabilizer W = {w : E + w = E}.
+    # Entry v is the column E + v, entry v of cosets the coset v + W of
+    # W = {w : E + w = E}, and entry f of kernels the kernel of f.
     table = translate_list(bits, n)
     cosets = translate_list(stabilizer(table, n), n)
-    kernels = Kernels(n)
+    kernels = kernel_list(n)
     transvections = Transvections(table, kernels)
 
     best_blocks: list[int] | None = None

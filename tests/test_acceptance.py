@@ -7,13 +7,19 @@ slowest seeded canonical form with no translation symmetry, another
 the canonical form of a dense set with none, a third the
 decomposition of seeded members at dims 9 and 11, a fourth that of
 relabeled series extensions at dims 11 and 13, and a fifth the critical
-number of non-members at dims 8-10.
+number of non-members at dims 8-10.  A memory budget bounds the peak of
+a child process that decomposes a dim-16 non-member and scans a dim-16
+set with no special hyperplane.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
 from functools import lru_cache
 
+import bmt
 from bmt import (
     Matroid,
     apply_map,
@@ -183,6 +189,59 @@ def test_chi_budget_non_members_d8_d10():
         print(f"chi of a {m.size}-point set at dim {m.n} took {elapsed:.2f}s")
         assert chi == want
         assert elapsed < 2.0, f"chi at dim {m.n} took {elapsed:.1f}s"
+
+
+# A seeded half of AG(16, 2), relabeled, is no member, and a seeded
+# random half of PG(15, 2) has no special hyperplane, so the scan reads
+# the kernel of every functional.
+_D16_CHILD = """
+import random
+from bmt import Matroid, NotMember, ag, apply_map, decompose_i4tf
+from bmt.decompose import find_special_hyperplane
+from bmt.errors import TheoremViolation
+from bmt.gf2 import points_mask, random_invertible_map
+
+n, rng = 16, random.Random(16)
+pts = list(ag(n).points)
+half = Matroid(n, points_mask(rng.sample(pts, len(pts) // 2)))
+half = apply_map(random_invertible_map(n, rng), half)
+assert isinstance(decompose_i4tf(half).outcome, NotMember)
+rand = Matroid(n, points_mask(rng.sample(range(1, 1 << n), 1 << (n - 1))))
+try:
+    find_special_hyperplane(rand)
+except TheoremViolation:
+    pass
+else:
+    raise AssertionError("the random half has a special hyperplane")
+"""
+
+
+# Runs the script in argv[1] as a child and prints the child's exit code
+# and ru_maxrss.  A child's ru_maxrss starts at its parent's resident
+# size, which exec carries over, so the test process, large by now, has
+# this small one spawn the child.
+_PEAK = """
+import os, sys
+argv = [sys.executable, "-c", sys.argv[1]]
+_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_memory_budget_d16():
+    # The child peaks under 48 MB.
+    src = os.path.dirname(os.path.dirname(bmt.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK, _D16_CHILD],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    print(f"d16 decompose and scan peaked at {peak_kb / 1024:.1f} MB")
+    assert peak_kb < 48 * 1024, f"d16 decompose and scan peaked at {peak_kb / 1024:.1f} MB"
 
 
 # (name, passed, detail) of each full-level row, frozen from the code

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bmt.gf2 import (
-    Kernels,
     LinearMap,
     Translates,
     Transvections,
@@ -16,6 +15,7 @@ from bmt.gf2 import (
     functional_kernel,
     identity_map,
     invert,
+    kernel_list,
     linear_system_solve,
     mask_points,
     points_mask,
@@ -118,6 +118,17 @@ def test_functional_kernel_and_hyperplanes():
             assert rref(basis) == basis
 
 
+def test_kernel_list_matches_brute_force():
+    # Entry f holds the points x != 0 with <f, x> = 0, so entry 0 holds
+    # every point.
+    for n in range(1, 7):
+        kernels = kernel_list(n)
+        assert len(kernels) == 1 << n
+        for f, got in enumerate(kernels):
+            want = sum(1 << x for x in range(1, 1 << n) if parity(f & x) == 0)
+            assert got == want, (n, f)
+
+
 def test_transvections_match_brute_force():
     # Every w, in the stabilizer or not, on sampled sets at d <= 4, the
     # empty set and the full set among them, over the lazy table and the
@@ -127,7 +138,7 @@ def test_transvections_match_brute_force():
         full = (1 << (1 << n)) - 2
         for bits in [0, full] + [random_bits(rng, n) for _ in range(10)]:
             for translates in (Translates, translate_list):
-                got = Transvections(translates(bits, n), Kernels(n))
+                got = Transvections(translates(bits, n), kernel_list(n))
                 for w in range(1, 1 << n):
                     assert got[w] == brute_transvections(bits, n, w), (n, bits, w)
 
