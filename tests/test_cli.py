@@ -194,6 +194,45 @@ def test_check_all_searches_frozen(tmp_path, monkeypatch, capsys):
     assert digest == FROZEN_CHECK_DIGEST
 
 
+# sha256 of the exit code, stdout and `-o` file of six calls per input of
+# _check_inputs(): `check` with every property, chi included, in text and
+# JSON, and `decompose` in text and JSON, each with and without `-o`.
+# Records are joined by ";".  Frozen from the code whose `check` ran each
+# property in its own branch of `_check_prop`.
+FROZEN_CHECK_AND_DECOMPOSE_DIGEST = (
+    "ccc76b0cb2ec599a143aae3bc4004b9886bcae7aef35ea2e93b966f11704cdf2"
+)
+ALL_PROPS = ALL_SEARCHES + ",chi"
+CHECK_AND_DECOMPOSE_CALLS = [
+    ["check", "set.bmat", "--props", ALL_PROPS],
+    ["--json", "check", "set.bmat", "--props", ALL_PROPS],
+    ["decompose", "set.bmat"],
+    ["--json", "decompose", "set.bmat"],
+    ["decompose", "set.bmat", "-o", "out.json"],
+    ["--json", "decompose", "set.bmat", "-o", "out.json"],
+]
+
+
+def test_check_and_decompose_output_frozen(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    parts = []
+    for m in _check_inputs():
+        with open("set.bmat", "w") as fh:
+            fh.write(serialize_bmat(m))
+        for argv in CHECK_AND_DECOMPOSE_CALLS:
+            if os.path.exists("out.json"):
+                os.remove("out.json")
+            code = main(argv)
+            saved = "-"
+            if os.path.exists("out.json"):
+                with open("out.json") as fh:
+                    saved = fh.read()
+            parts.append(f"{code}:{capsys.readouterr().out}:{saved}")
+    assert len(parts) == 1044
+    digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
+    assert digest == FROZEN_CHECK_AND_DECOMPOSE_DIGEST
+
+
 def test_decompose_member_line(c5_file, capsys):
     assert main(["decompose", c5_file]) == 0
     out = capsys.readouterr().out
