@@ -10,12 +10,10 @@ diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
-from types import ModuleType
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .errors import FormatError, TheoremViolation
 from .matroid import CLASS_TAGS, MAX_DIM, Matroid, canonical_form, parse_bmat, serialize_bmat
@@ -41,48 +39,6 @@ def _witness_dict(w: Witness) -> dict:
     return d
 
 
-def _check_prop(
-    m: Matroid, name: str, odd_circuit: Callable[[], Witness | None], detect: ModuleType
-) -> tuple[bool, str, dict]:
-    """Returns (passed, text line, json fragment) for one property, one
-    of PROP_NAMES, from the searches of the `detect` module.
-
-    odd_circuit() gives find_induced_odd_circuit(m), already verified;
-    `affine` and `oddcircuit` share it.
-    """
-    if name == "triangle":
-        w = detect.find_triangle(m)
-    elif name == "i4":
-        w = detect.find_induced_is(m, 4)
-    elif name == "i3":
-        w = detect.find_induced_is(m, 3)
-    elif name == "ai4":
-        w = detect.find_ai4_violation(m)
-    elif name == "oddcircuit":
-        w = odd_circuit()
-    elif name == "affine":
-        aw = detect.affine_witness(m)
-        if aw is not None:
-            return True, f"affine: yes (functional {aw})", {"pass": True, "functional": aw}
-        w = odd_circuit()
-        if w is None:
-            raise TheoremViolation("non-affine set without an induced odd circuit")
-        pts = " ".join(str(p) for p in w.points)
-        return False, f"affine: no (odd circuit {pts})", {
-            "pass": False,
-            "witness": _witness_dict(w),
-        }
-    elif name == "chi":
-        value = detect.critical_number(m)
-        return True, f"chi: {value}", {"pass": True, "value": value}
-    if w is None:
-        return True, f"{name}: none", {"pass": True, "witness": None}
-    if name != "oddcircuit":
-        w = w.checked(m)
-    pts = " ".join(str(p) for p in w.points)
-    return False, f"{name}: {pts}", {"pass": False, "witness": _witness_dict(w)}
-
-
 def _cmd_check(args) -> int:
     from . import detect
 
@@ -93,28 +49,45 @@ def _cmd_check(args) -> int:
     for name in names:
         if name not in PROP_NAMES:
             raise FormatError(f"unknown property {name!r}")
-
-    @functools.cache
-    def odd_circuit() -> Witness | None:
-        # Searched and verified once, by whichever property asks first.
-        w = detect.find_induced_odd_circuit(m)
-        return w and w.checked(m)
-
+    # The search behind each property but two: affine reads oddcircuit's
+    # when E has no affine functional, and chi reads critical_number.
+    searches = {
+        "triangle": lambda: detect.find_triangle(m),
+        "i4": lambda: detect.find_induced_is(m, 4),
+        "i3": lambda: detect.find_induced_is(m, 3),
+        "ai4": lambda: detect.find_ai4_violation(m),
+        "oddcircuit": lambda: detect.find_induced_odd_circuit(m),
+    }
+    found = {}  # search name -> its witness, verified, or None
     results = {}
     lines = []
-    failed = False
     for name in names:
-        ok, line, frag = _check_prop(m, name, odd_circuit, detect)
+        if name == "chi":
+            value = detect.critical_number(m)
+            frag, line = {"pass": True, "value": value}, f"chi: {value}"
+        elif name == "affine" and (aw := detect.affine_witness(m)) is not None:
+            frag, line = {"pass": True, "functional": aw}, f"affine: yes (functional {aw})"
+        else:
+            search = "oddcircuit" if name == "affine" else name
+            if search not in found:
+                w = searches[search]()
+                found[search] = w and w.checked(m)
+            w = found[search]
+            if w is None and search == "oddcircuit" and detect.affine_witness(m) is None:
+                raise TheoremViolation("non-affine set without an induced odd circuit")
+            if w is None:
+                frag, line = {"pass": True, "witness": None}, f"{name}: none"
+            else:
+                pts = " ".join(str(p) for p in w.points)
+                frag = {"pass": False, "witness": _witness_dict(w)}
+                line = f"affine: no (odd circuit {pts})" if name == "affine" else f"{name}: {pts}"
         results[name] = frag
         lines.append(line)
-        if not ok:
-            failed = True
     if args.json:
         print(json.dumps({"file": args.file, "dim": m.n, "props": results}))
     else:
-        for line in lines:
-            print(line)
-    return 1 if failed else 0
+        print("\n".join(lines))
+    return 0 if all(r["pass"] for r in results.values()) else 1
 
 
 def _cmd_decompose(args) -> int:
@@ -123,37 +96,30 @@ def _cmd_decompose(args) -> int:
     m = _read_matroid(args.file)
     res = decompose_i4tf(m)
     oc = res.outcome
+    # doc is the --json document, saved what --out gets, text the plain lines.
     if isinstance(oc, NotMember):
-        payload = json.dumps({"outcome": "not_member", "witness": _witness_dict(oc.witness)})
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(payload + "\n")
-        if args.json:
-            print(payload)
-        else:
-            pts = " ".join(str(p) for p in oc.witness.points)
-            print(f"NotMember {oc.witness.kind}: {pts}")
-        return 1
-    cert_json = oc.certificate.to_json()
-    if isinstance(oc, DoubledSag):
-        head = f"DoubledSag k={oc.doublings} n={oc.sag_param}"
-        meta = {"outcome": "doubled_sag", "doublings": oc.doublings, "sag": oc.sag_param}
+        doc = {"outcome": "not_member", "witness": _witness_dict(oc.witness)}
+        saved = json.dumps(doc)
+        pts = " ".join(str(p) for p in oc.witness.points)
+        text = f"NotMember {oc.witness.kind}: {pts}"
     else:
-        head = f"AffineChain steps={len(oc.certificate.steps)}"
-        meta = {"outcome": "affine_chain", "steps": len(oc.certificate.steps)}
-    if res.restriction.rank_deficient:
-        meta["rank_deficient"] = True
+        saved = oc.certificate.to_json()
+        if isinstance(oc, DoubledSag):
+            text = f"DoubledSag k={oc.doublings} n={oc.sag_param}"
+            doc = {"outcome": "doubled_sag", "doublings": oc.doublings, "sag": oc.sag_param}
+        else:
+            text = f"AffineChain steps={len(oc.certificate.steps)}"
+            doc = {"outcome": "affine_chain", "steps": len(oc.certificate.steps)}
+        if res.restriction.rank_deficient:
+            doc["rank_deficient"] = True
+        doc["certificate"] = json.loads(saved)
+        if not args.out:
+            text += "\n" + saved
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(cert_json + "\n")
-    if args.json:
-        meta["certificate"] = json.loads(cert_json)
-        print(json.dumps(meta))
-    else:
-        print(head)
-        if not args.out:
-            print(cert_json)
-    return 0
+            fh.write(saved + "\n")
+    print(json.dumps(doc) if args.json else text)
+    return 1 if isinstance(oc, NotMember) else 0
 
 
 def _cmd_build(args) -> int:

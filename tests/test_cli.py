@@ -122,6 +122,19 @@ def test_check_affine_without_odd_circuit_is_theorem_violation(c5_file, monkeypa
     assert "without an induced odd circuit" in out.err
 
 
+def test_check_oddcircuit_without_odd_circuit_is_theorem_violation(
+    c5_file, monkeypatch, capsys
+):
+    # The same falsified search fails oddcircuit as it fails affine, and
+    # on its own: c5 has no affine functional, so "none" would be wrong.
+    monkeypatch.setattr(detect, "find_induced_odd_circuit", lambda m: None)
+    for props in ("oddcircuit", "oddcircuit,affine", "triangle,oddcircuit"):
+        assert main(["check", "--props", props, c5_file]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "without an induced odd circuit" in out.err
+
+
 def test_check_json(pg3_file, capsys):
     assert main(["--json", "check", pg3_file]) == 1
     doc = json.loads(capsys.readouterr().out)

@@ -161,3 +161,14 @@ def test_module_imports():
                 mods |= {node.module} if node.module else {a.name for a in node.names}
         got[path.stem] = frozenset(mods)
     assert got == MODULE_IMPORTS
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares Python 3.10 and later.  This catches grammar
+    # newer than 3.10 (such as `except*`), not library behaviour that
+    # changed between versions.
+    tests = pathlib.Path(__file__).parent
+    paths = [p for d in (SRC, tests, PERFBENCH) for p in sorted(d.glob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
