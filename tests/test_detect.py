@@ -311,6 +311,24 @@ def test_doubled_search_witnesses_frozen():
     assert digest == FROZEN_DOUBLED_DIGEST
 
 
+# sha256 of _quad_tables(n): the "need", "span" and "trip" lists, each
+# as its bitsets in hex joined by ";", then the packed quads.
+FROZEN_QUAD_TABLE_DIGESTS = {
+    4: "beaa19aa1f8e16356f2454c1aa51f19ec1f710f00bc8216547cb301e21d2e52e",
+    5: "0a6792b929a605143ab7dc0df75d30f3b567423cb55639f3919db3d67ed4366a",
+}
+
+
+def test_quad_tables_frozen():
+    for n, frozen in FROZEN_QUAD_TABLE_DIGESTS.items():
+        table = detect._quad_tables(n)
+        h = hashlib.sha256()
+        for key in ("need", "span", "trip"):
+            h.update(";".join("%x" % v for v in table[key]).encode())
+        h.update(table["quads"])
+        assert h.hexdigest() == frozen, n
+
+
 def test_pruning_reads_the_stabilizer_flat():
     # On an even-size set, the W that the induced-IS and AI4 searches prune
     # with is the flat stabilizer_flat builds; the coset leaders are the
