@@ -17,8 +17,7 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .construct import STEP_OPS, Certificate, sag
 from .decompose import NotMember, decompose_i4tf
@@ -43,8 +42,7 @@ GRAMMAR = {
 }
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     """Iso-class census of one generated class at one dimension.
 
     total_labeled counts the distinct point sets produced at the target
@@ -177,8 +175,7 @@ def enumerate_generated(dim: int, tag: str, threads: int = 1) -> CensusReport:
     return CensusReport(dim, tag, len(raws), len(reps), reps, time.monotonic() - start)
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
+class CrosscheckReport(NamedTuple):
     """Full-sweep comparison of the decomposer against the detectors."""
 
     dim: int

@@ -9,7 +9,7 @@ relabeling map; replaying it reconstructs a matroid exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FormatError
 from .gf2 import LinearMap, functional_kernel
@@ -122,22 +122,26 @@ STEP_OPS = {
 }
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Replayable construction: base matroid, operation names, relabeling.
-
-    The base is either one dimensional (empty or a single point) or a
-    canonical series extended affine geometry.
-    """
-
+class _CertificateFields(NamedTuple):
     base: Matroid
     steps: tuple[str, ...]
     cmap: LinearMap
 
-    def __post_init__(self) -> None:
-        b = self.base
-        if b.n > 1 and b != sag(b.n - 1):
+
+class Certificate(_CertificateFields):
+    """Replayable construction: base matroid, operation names, relabeling.
+
+    The base is either one dimensional (empty or a single point) or a
+    canonical series extended affine geometry.  The fields live in a
+    NamedTuple base, since a NamedTuple's own body may not define __new__.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, base: Matroid, steps: tuple[str, ...], cmap: LinearMap) -> Certificate:
+        if base.n > 1 and base != sag(base.n - 1):
             raise ValueError("base must be one dimensional or a canonical sag")
+        return super().__new__(cls, base, steps, cmap)
 
     def replay(self) -> Matroid:
         m = self.base

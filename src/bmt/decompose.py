@@ -12,7 +12,6 @@ freeness condition, undoing the alpha and beta operations instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import TheoremViolation
@@ -277,25 +276,21 @@ def strip_doublings(m: Matroid) -> StripResult:
     return StripResult(len(trail), cur, tuple(trail))
 
 
-@dataclass(frozen=True)
-class AffineChain:
+class AffineChain(NamedTuple):
     certificate: Certificate
 
 
-@dataclass(frozen=True)
-class DoubledSag:
+class DoubledSag(NamedTuple):
     certificate: Certificate
     doublings: int
     sag_param: int
 
 
-@dataclass(frozen=True)
-class NotMember:
+class NotMember(NamedTuple):
     witness: Witness
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(NamedTuple):
     outcome: AffineChain | DoubledSag | NotMember
     restriction: RestrictionResult
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import TheoremViolation
 from .gf2 import (
@@ -45,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Checkable evidence that a point set fails some freeness property."""
 
     kind: str
@@ -134,21 +133,30 @@ def _quad_tables(n: int) -> dict:
                         a, b, c, p1 ^ p4, p2 ^ p4, p3 ^ p4, t,
                     ))
 
-    def by_point(recs: bytearray, width: int, cols: int) -> list[int]:
-        # Column k of the records holds one point per quad.  Mapping p to
-        # "1" and every other byte to "0" gives the binary digits of the
-        # quads with p there; reversed, quad i lands on bit i.
+    # planes[j] maps each byte to its bit j as "1" or "0".
+    planes = [bytes(48 + (x >> j & 1) for x in range(256)) for j in range(n)]
+
+    def by_point(recs: bytearray, width: int, cols: range) -> list[int]:
+        # Column k of the records holds one point per quad.  Translated by
+        # planes[j], it gives bit plane j: the binary digits of the quads
+        # whose point there has bit j set; reversed, quad i lands on bit i.
+        # Splitting the quads on each plane in turn, by doubling, leaves
+        # at index p the quads with p there.
         out = [0] * top
-        for p in range(1, top):
-            digits = bytes(49 if x == p else 48 for x in range(256))
-            for k in range(cols):
-                out[p] |= int(recs[k::width].translate(digits)[::-1], 2)
+        for k in cols:
+            col = recs[k::width]
+            split = [(1 << len(col)) - 1]
+            for digits in planes:
+                plane = int(col.translate(digits)[::-1], 2)
+                split = [q & ~plane for q in split] + [q & plane for q in split]
+            out = [o | q for o, q in zip(out, split)]
         return out
 
+    trip = by_point(sums, 11, range(4))
     return {
-        "need": by_point(quads, 4, 4),
-        "span": by_point(sums, 11, 11),
-        "trip": by_point(sums, 11, 4),
+        "need": by_point(quads, 4, range(4)),
+        "span": [t | q for t, q in zip(trip, by_point(sums, 11, range(4, 11)))],
+        "trip": trip,
         "quads": bytes(quads),
     }
 
@@ -485,6 +493,12 @@ def recognize_sag(m: Matroid) -> tuple[int, LinearMap] | None:
         if pair.bit_count() != 2:
             continue
         fmask = t ^ pair
+        # A flat holds the sum of its two least points: one bit test that
+        # turns away most candidates before the translations below.
+        p = (fmask & -fmask).bit_length() - 1
+        rest = fmask & (fmask - 1)
+        if not fmask >> (p ^ ((rest & -rest).bit_length() - 1)) & 1:
+            continue
         # F | {0} is a flat exactly when translation by each point of a
         # set spanning it fixes it: each step takes the least point off
         # the span so far.  Most candidates fail at the first point.

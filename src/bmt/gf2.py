@@ -9,8 +9,7 @@ bit p is set iff point p belongs to the set; bit 0 is never set.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 # Largest dimension any parsed input may ask for: a point set is a
@@ -235,8 +234,7 @@ def span_members(basis: Iterable[int]) -> int:
     return mask & ~1
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(NamedTuple):
     """A linear subspace, kept as dimension, reduced basis, point bitmask."""
 
     dim: int
@@ -320,8 +318,7 @@ def linear_system_solve(
     return x, kbasis
 
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(NamedTuple):
     """Linear map GF(2)^n_from -> GF(2)^n_to; images[i] is the image of 1<<i."""
 
     n_from: int

@@ -7,7 +7,6 @@ invertible linear map carrying one set onto the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -32,20 +31,27 @@ from .gf2 import (
 CLASS_TAGS = ("i4tf_nonaffine", "i4tf_affine", "ai4")
 
 
-@dataclass(frozen=True)
-class Matroid:
-    """Point set of a simple binary matroid, bit p set iff p is an element."""
-
+class _MatroidFields(NamedTuple):
     n: int
     bits: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+
+class Matroid(_MatroidFields):
+    """Point set of a simple binary matroid, bit p set iff p is an element.
+
+    The fields live in a NamedTuple base, since a NamedTuple's own body
+    may not define __new__; the instance __dict__ holds the cached
+    properties.
+    """
+
+    def __new__(cls, n: int, bits: int) -> Matroid:
+        if n < 1:
             raise ValueError("dimension must be at least 1")
-        if self.bits & 1:
+        if bits & 1:
             raise ValueError("zero is never an element")
-        if not 0 <= self.bits < (1 << (1 << self.n)):
+        if not 0 <= bits < (1 << (1 << n)):
             raise ValueError("element out of range for dimension")
+        return super().__new__(cls, n, bits)
 
     @cached_property
     def points(self) -> tuple[int, ...]:

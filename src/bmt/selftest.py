@@ -10,9 +10,8 @@ import functools
 import json
 import random
 import time
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .census import (
     enumerate_generated,
@@ -54,8 +53,7 @@ from .matroid import (
 _FULL = "full"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -335,8 +333,7 @@ CRITERIA = (
 )
 
 
-@dataclass(frozen=True)
-class SelftestReport:
+class SelftestReport(NamedTuple):
     results: tuple[CheckResult, ...]
     elapsed: float
 
