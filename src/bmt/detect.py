@@ -494,10 +494,15 @@ def recognize_sag(m: Matroid) -> tuple[int, LinearMap] | None:
             continue
         fmask = t ^ pair
         # A flat holds the sum of its two least points: one bit test that
-        # turns away most candidates before the translations below.
-        p = (fmask & -fmask).bit_length() - 1
-        rest = fmask & (fmask - 1)
-        if not fmask >> (p ^ ((rest & -rest).bit_length() - 1)) & 1:
+        # turns away most candidates before the translations below.  It
+        # reads only F's points below 64: all of them up to n = 6, and
+        # beyond, at least 15 of a flat's, which meets the space below 64
+        # in dimension 4 or more.  A candidate with fewer than two points
+        # there goes on to the translations.
+        word = fmask & 0xFFFF_FFFF_FFFF_FFFF
+        tail = word & (word - 1)
+        p, q = (word & -word).bit_length() - 1, (tail & -tail).bit_length() - 1
+        if tail and not word >> (p ^ q) & 1:
             continue
         # F | {0} is a flat exactly when translation by each point of a
         # set spanning it fixes it: each step takes the least point off
