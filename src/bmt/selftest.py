@@ -353,13 +353,7 @@ class SelftestReport(NamedTuple):
                 "passed": self.passed,
                 "elapsed": round(self.elapsed, 3),
                 "checks": [
-                    {
-                        "name": r.name,
-                        "passed": r.passed,
-                        "detail": r.detail,
-                        "elapsed": round(r.elapsed, 3),
-                    }
-                    for r in self.results
+                    {**r._asdict(), "elapsed": round(r.elapsed, 3)} for r in self.results
                 ],
             }
         )
