@@ -108,6 +108,19 @@ def walk_grammar(
     so the outcome does not depend on scheduling; when threads > 1 that
     map is spread over `threads` processes, at most one per CPU.
 
+    An image whose bits are a representative's, as alpha0 and expand0
+    return them, is its own canonical form and skips the search.  Let E
+    lie in V_n, the points below 2^n, with c its least image under
+    GL(n); c is also its least image under GL(n+1).  Suppose h in
+    GL(n+1) has h(E) < c, and let p be the first point where they
+    differ, so p is in h(E) and not in c.  Then p < 2^n: otherwise every
+    point of c, all below 2^n, lies in h(E), which has no room for p as
+    |h(E)| = |c|.  The span A of the points of h(E) up to p lies in
+    V_n, and the span of h(E) has dimension rank(E) <= n, so some k in
+    GL(n+1) fixes A pointwise and maps that span into V_n.  Then k h(E)
+    is a GL(n)-image of E that holds every point of c below p and also
+    p, so it is less than c, a contradiction.
+
     Returns that frontier at dim and the exact bits of the last level's
     images (the bases themselves at dim 1).
     """
@@ -134,8 +147,11 @@ def walk_grammar(
                 for (cur, bits), (base_bits, steps) in frontier.items()
                 for name, nxt in grammar[cur]
             ]
-            images = list({img.bits: img for _, _, img in succ}.values())
-            canon = dict(zip((m.bits for m in images), canon_map(_canon_bits, images)))
+            images = {img.bits: img for _, _, img in succ}
+            # An image with a representative's bits is its own form.
+            canon = {b: b for b in images.keys() & {bits for _, bits in frontier}}
+            fresh = [m for b, m in images.items() if b not in canon]
+            canon.update(zip((m.bits for m in fresh), canon_map(_canon_bits, fresh)))
             frontier = {}
             for nxt, path, img in succ:
                 frontier.setdefault((nxt, canon[img.bits]), path)

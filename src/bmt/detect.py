@@ -16,6 +16,7 @@ from .errors import TheoremViolation
 from .gf2 import (
     Flat,
     LinearMap,
+    TranslateWalk,
     Translates,
     _LOW,
     coordinate_masks,
@@ -173,10 +174,11 @@ def _first_quad(m: Matroid, avoid: str) -> tuple[int, ...] | None:
     return tuple(table["quads"][4 * i : 4 * i + 4]) or None
 
 
-def _doubling_group(t: Translates) -> tuple[int, int]:
+def _doubling_group(t: Translates | TranslateWalk) -> tuple[int, int]:
     # W = {w : E + w = E} read from E's translates, as a point set with 0,
     # and the least point of each W-coset.  Every map x -> x + L(x), with
-    # L linear into W and zero on W, fixes E.
+    # L linear into W and zero on W, fixes E.  The searches pass a walk,
+    # so that their shared table keeps only the translates they read.
     wmask = stabilizer(t, t.n)
     return wmask, coset_leaders(rref(mask_points(wmask ^ 1)), t.n)
 
@@ -212,7 +214,7 @@ def find_induced_is(m: Matroid, s: int) -> Witness | None:
         quad = _first_quad(m, "span")
         return Witness("induced_is", quad, 4) if quad else None
     t = m.translates
-    _, leaders = _doubling_group(t)
+    _, leaders = _doubling_group(TranslateWalk(m.bits, m.n))
     chosen: list[int] = []
 
     # allowed: the elements above the last choice that may join; span:
@@ -263,7 +265,7 @@ def find_ai4_violation(m: Matroid) -> Witness | None:
         quad = _first_quad(m, "trip")
         return Witness("ai4_violation", quad) if quad else None
     t = m.translates
-    wmask, leaders = _doubling_group(t)
+    wmask, leaders = _doubling_group(TranslateWalk(m.bits, m.n))
     chosen: list[int] = []
 
     # Choosing x after p1 (and p2) drops the candidates y that would put
@@ -444,7 +446,7 @@ def _largest_flat_dim(e: int, n: int, target: int) -> int:
 
 def find_doubling_element(m: Matroid) -> tuple[int, Flat] | None:
     """Least nonelement w with w + E = E, plus a hyperplane missing w."""
-    ws = stabilizer(m.translates, m.n) & ~1
+    ws = stabilizer(TranslateWalk(m.bits, m.n), m.n) & ~1
     if not ws:
         return None
     w = (ws & -ws).bit_length() - 1

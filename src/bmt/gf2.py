@@ -83,9 +83,31 @@ class Translates(dict):
         return out
 
 
-def stabilizer(table: Translates | list[int], n: int) -> int:
-    """Point set of W = {w : E + w = E}, 0 included, read off a table of
-    the translates of E, a Translates table or a translate_list.
+class TranslateWalk:
+    """E + v for one v at a time, for a point set E of GF(2)^n.
+
+    Each read is made from the last one by xor_translate, so the walk
+    holds one translate where a Translates table keeps all it makes:
+    read by stabilizer, that is |E| translates of 2^n bits, 256 MB for
+    2^15 points at MAX_DIM.  Points read in ascending order cost one
+    delta swap per bit that changes from one to the next.
+    """
+
+    __slots__ = ("n", "v", "mask")
+
+    def __init__(self, mask: int, n: int) -> None:
+        self.n, self.v, self.mask = n, 0, mask
+
+    def __getitem__(self, v: int) -> int:
+        self.mask = xor_translate(self.mask, self.v ^ v)
+        self.v = v
+        return self.mask
+
+
+def stabilizer(table: Translates | TranslateWalk | list[int], n: int) -> int:
+    """Point set of W = {w : E + w = E}, 0 included, read off the
+    translates of E: a Translates table, a TranslateWalk or a
+    translate_list.
 
     w is in W exactly when e + w is on E for every point e of E, that is
     when w is in every E + e; the scan stops once only 0 is left.  A
@@ -318,6 +340,16 @@ def linear_system_solve(
     return x, kbasis
 
 
+def _image(images: tuple[int, ...], x: int) -> int:
+    # Sum of images[i] over the set bits i of x.
+    y = 0
+    while x:
+        low = x & -x
+        x ^= low
+        y ^= images[low.bit_length() - 1]
+    return y
+
+
 class LinearMap(NamedTuple):
     """Linear map GF(2)^n_from -> GF(2)^n_to; images[i] is the image of 1<<i."""
 
@@ -326,19 +358,16 @@ class LinearMap(NamedTuple):
     images: tuple[int, ...]
 
     def apply(self, x: int) -> int:
-        y = 0
-        while x:
-            low = x & -x
-            x ^= low
-            y ^= self.images[low.bit_length() - 1]
-        return y
+        return _image(self.images, x)
 
     def apply_mask(self, mask: int) -> int:
+        # The field is read once, not once per point.
+        images = self.images
         out = 0
         while mask:
             low = mask & -mask
             mask ^= low
-            out |= 1 << self.apply(low.bit_length() - 1)
+            out |= 1 << _image(images, low.bit_length() - 1)
         return out
 
     def is_invertible(self) -> bool:
@@ -377,6 +406,14 @@ def random_invertible_map(n: int, rng: random.Random | int) -> LinearMap:
         m = LinearMap(n, n, images)
         if m.is_invertible():
             return m
+
+
+def _inverse(perm: list[int]) -> list[int]:
+    """Inverse of a permutation of range(len(perm))."""
+    out = [0] * len(perm)
+    for q, x in enumerate(perm):
+        out[x] = q
+    return out
 
 
 def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
@@ -438,7 +475,9 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     than the best.  The tie therefore returns k: every deeper node returns
     at once without trying its remaining candidates, and node k resumes
     its loop.  Each tie keeps its map, a list of 2^n images, gathered
-    through the inverse of the best leaf's images.  A node closes its
+    through the inverse of the best leaf's images; a new best leaf keeps
+    only its images, and the inverse is built when a tie first reads it,
+    since most best leaves are bettered before any tie.  A node closes its
     candidates under the kept maps that fix its basis pointwise, which,
     being linear, fix its span, and stops once every candidate is covered.
     It keeps that list incrementally: a child inherits the ones that also
@@ -498,7 +537,9 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     transvections = Transvections(table, kernels)
 
     best_blocks: list[int] | None = None
-    # best_pos[h] is the point q that the best leaf sends to h.
+    # best_leaf[q] is the image of the point q under the best leaf, and
+    # best_pos its inverse, built when a tie first reads it.
+    best_leaf: list[int] | None = None
     best_pos: list[int] | None = None
     auts: list[list[int]] = []
     # The least block of each node on the current path.
@@ -531,7 +572,7 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
         # automorphisms that fix the node's basis.  The return value
         # is the depth at which the search resumes: a node above it
         # returns at once.
-        nonlocal best_blocks, best_pos
+        nonlocal best_blocks, best_leaf, best_pos
         depth = len(blocks)
         seen = len(auts)
         # The second half of the columns are the translates by the last
@@ -584,16 +625,16 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
                 # Past the cutoff, a leaf that is not better ties.
                 if best_blocks is None or blocks < best_blocks:
                     best_blocks = blocks[:]
-                    best_pos = [0] * size
-                    for q, x in enumerate(leaf):
-                        best_pos[x] = q
+                    best_leaf, best_pos = leaf, None
                     back = n
                 else:
+                    if best_pos is None:
+                        best_pos = _inverse(best_leaf)
                     auts.append(list(map(leaf.__getitem__, best_pos)))
                     # A tie resumes the search where its path leaves the
                     # best leaf's.
                     back = 0
-                    while best_pos[leaf[1 << back]] == 1 << back:
+                    while leaf[1 << back] == best_leaf[1 << back]:
                         back += 1
             else:
                 for v, moves in searched:
@@ -634,7 +675,9 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
         return back
 
     dfs(0, [0], 0, full, [], full, 0)
-    assert best_pos is not None
+    assert best_leaf is not None
+    if best_pos is None:
+        best_pos = _inverse(best_leaf)
     canon = 0
     for x in mask_points(bits):
         canon |= 1 << best_pos[x]

@@ -15,6 +15,7 @@ from .gf2 import (
     MAX_DIM,
     Flat,
     LinearMap,
+    TranslateWalk,
     Translates,
     canonical_form_bits,
     coset_leaders,
@@ -265,7 +266,7 @@ def stabilizer_flat(m: Matroid) -> StabilizerResult:
     n = m.n
     full = (1 << (1 << n)) - 2
     tile = m.bits if m.size % 2 == 0 else m.bits | 1
-    members = stabilizer(Translates(tile, n), n) ^ 1
+    members = stabilizer(TranslateWalk(tile, n), n) ^ 1
     basis = rref(mask_points(members))
     flat = Flat(len(basis), basis, members)
     if sumset(m.bits, m.bits ^ full) != full ^ members:

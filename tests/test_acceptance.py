@@ -9,7 +9,8 @@ decomposition of seeded members at dims 9 and 11, a fourth that of
 relabeled series extensions at dims 11 and 13, and a fifth the critical
 number of non-members at dims 8-10.  A memory budget bounds the peak of
 a child process that decomposes a dim-16 non-member and scans a dim-16
-set with no special hyperplane.
+set with no special hyperplane, and another that of a child that
+decomposes three seeded dim-16 doubling towers.
 """
 
 import os
@@ -228,20 +229,45 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def test_memory_budget_d16():
-    # The child peaks under 48 MB.
+def _peak_mb(child: str) -> float:
+    # Peak resident size of the script child, run through _PEAK.
     src = os.path.dirname(os.path.dirname(bmt.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c", _PEAK, _D16_CHILD],
+        [sys.executable, "-c", _PEAK, child],
         env=env,
         capture_output=True,
         text=True,
     )
     code, peak_kb = map(int, proc.stdout.split())
     assert code == 0, proc.stderr
-    print(f"d16 decompose and scan peaked at {peak_kb / 1024:.1f} MB")
-    assert peak_kb < 48 * 1024, f"d16 decompose and scan peaked at {peak_kb / 1024:.1f} MB"
+    return peak_kb / 1024
+
+
+def test_memory_budget_d16():
+    # The child peaks under 48 MB.
+    peak = _peak_mb(_D16_CHILD)
+    print(f"d16 decompose and scan peaked at {peak:.1f} MB")
+    assert peak < 48, f"d16 decompose and scan peaked at {peak:.1f} MB"
+
+
+# Doubled members keep a large W = {w : E + w = E}, so finding each
+# doubling element reads a translate per point of E; held at once, those
+# |E| translates of 2^16 bits would take 250-370 MB.
+_D16_DOUBLED_CHILD = """
+from bmt import DoubledSag, decompose_i4tf, random_members
+
+for seed in (1, 3, 4):
+    m = random_members(16, 1, seed, "i4tf_nonaffine")[0]
+    assert isinstance(decompose_i4tf(m).outcome, DoubledSag)
+"""
+
+
+def test_memory_budget_d16_doubled():
+    # The child decomposes three seeded d16 towers and peaks under 48 MB.
+    peak = _peak_mb(_D16_DOUBLED_CHILD)
+    print(f"d16 tower decompositions peaked at {peak:.1f} MB")
+    assert peak < 48, f"d16 tower decompositions peaked at {peak:.1f} MB"
 
 
 # (name, passed, detail) of each full-level row, frozen from the code

@@ -31,7 +31,7 @@ from bmt import (
 )
 from bmt import census
 from bmt.detect import Witness
-from bmt.gf2 import Translates, random_invertible_map, stabilizer
+from bmt.gf2 import Translates, canonical_form_bits, random_invertible_map, stabilizer
 
 SEED = 6007
 
@@ -97,6 +97,51 @@ def test_enumerate_threads_agree():
         assert [r.bits for r in one.representatives] == [
             r.bits for r in two.representatives
         ]
+
+
+def _stays_canonical(n, c):
+    # c, a least image under GL(n), read at one and two dimensions up.
+    return all(canonical_form_bits(n + k, c)[0] == c for k in (1, 2))
+
+
+def test_canonical_forms_stay_canonical_one_dimension_up():
+    # walk_grammar takes an image with a representative's bits as its own
+    # form without a search; this is the claim that makes that sound.
+    forms = [
+        (m.n, m.bits)
+        for tag in ("i4tf_affine", "ai4")
+        for dim in range(1, 7)
+        for m in enumerate_generated(dim, tag).representatives
+    ]
+    rng = random.Random(SEED)
+    for n in (5, 6):
+        for _ in range(10):
+            forms.append((n, canonical_form_bits(n, rng.getrandbits(1 << n) & ~1)[0]))
+    assert all(_stays_canonical(n, c) for n, c in forms)
+
+
+@settings(max_examples=50, deadline=None)
+@given(dim=st.integers(1, 5), bits=st.integers(0, 2**32 - 1))
+def test_canonical_form_stays_canonical_property(dim, bits):
+    bits &= (1 << (1 << dim)) - 2
+    assert _stays_canonical(dim, canonical_form_bits(dim, bits)[0])
+
+
+# Canonical-form searches per census over the census benchmark workload:
+# an image with a representative's bits (alpha0, expand0) skips its own.
+CENSUS_SEARCHES = {("i4tf_affine", 6): 36, ("ai4", 5): 106, ("i4tf_nonaffine", 7): 4}
+
+
+def test_census_searches_only_new_images(monkeypatch):
+    calls = []
+    real = census._canon_bits
+    monkeypatch.setattr(census, "_canon_bits", lambda m: calls.append(m) or real(m))
+    counts = {}
+    for tag, dim in CENSUS_SEARCHES:
+        calls.clear()
+        enumerate_generated(dim, tag)
+        counts[tag, dim] = len(calls)
+    assert counts == CENSUS_SEARCHES
 
 
 def test_census_report_json_and_files(tmp_path):
