@@ -92,8 +92,8 @@ class CensusReport(NamedTuple):
         return paths
 
 
-def _canon_bits(m: Matroid) -> int:
-    return canonical_form(m)[0].bits
+def _canon_bits(m: Matroid, known: set[tuple[int, ...]]) -> int:
+    return canonical_form(m, known)[0].bits
 
 
 def walk_grammar(
@@ -104,9 +104,14 @@ def walk_grammar(
     The walk starts in `state` (default: the class's first state).  Each
     level is expanded from canonical representatives and keeps, for every
     (state, canonical bits) key, the first (base bits, step names) path in
-    discovery order.  Successors are canonicalised with one map per level,
-    so the outcome does not depend on scheduling; when threads > 1 that
-    map is spread over `threads` processes, at most one per CPU.
+    discovery order.  Successors are canonicalised with one map per level
+    of a search given one set, empty at the start of the level, of the
+    forms found (canonical_form_bits's known).  Forms do not depend on
+    what that set holds, so the outcome does not depend on scheduling.
+    On one process the set grows across the level, and a search that
+    reaches a form found before it stops there.  When threads > 1 the map
+    is spread over `threads` processes, at most one per CPU; each task
+    gets its own copy of the empty set, so those searches run in full.
 
     An image whose bits are a representative's, as alpha0 and expand0
     return them, is its own canonical form and skips the search.  Let E
@@ -151,7 +156,8 @@ def walk_grammar(
             # An image with a representative's bits is its own form.
             canon = {b: b for b in images.keys() & {bits for _, bits in frontier}}
             fresh = [m for b, m in images.items() if b not in canon]
-            canon.update(zip((m.bits for m in fresh), canon_map(_canon_bits, fresh)))
+            search = functools.partial(_canon_bits, known=set())
+            canon.update(zip((m.bits for m in fresh), canon_map(search, fresh)))
             frontier = {}
             for nxt, path, img in succ:
                 frontier.setdefault((nxt, canon[img.bits]), path)
@@ -177,12 +183,13 @@ def enumerate_generated(dim: int, tag: str, threads: int = 1) -> CensusReport:
     if tag == "i4tf_nonaffine":
         canon: set[int] = set()
         raws: set[int] = set()
+        known: set[tuple[int, ...]] = set()
         for mpar in range(3, dim):
             k = dim - 1 - mpar
             cert = Certificate(sag(mpar), ("double",) * k, identity_map(dim))
             m = cert.replay()
             raws.add(m.bits)
-            canon.add(_canon_bits(m))
+            canon.add(_canon_bits(m, known))
     else:
         frontier, raws = walk_grammar(tag, dim, threads=threads)
         canon = {bits for _, bits in frontier}
@@ -228,6 +235,7 @@ def exhaustive_crosscheck(dim: int) -> CrosscheckReport:
         "i4tf_nonaffine_rank_deficient": set(),
     }
     labeled = {k: 0 for k in groups}
+    known: set[tuple[int, ...]] = set()
     bad: list[int] = []
     for m in point_sets((dim,)):
         try:
@@ -247,7 +255,7 @@ def exhaustive_crosscheck(dim: int) -> CrosscheckReport:
         else:
             key = "i4tf_nonaffine_rank_deficient"
         labeled[key] += 1
-        groups[key].add(_canon_bits(m))
+        groups[key].add(_canon_bits(m, known))
     tally = {
         k: {"labeled": labeled[k], "iso_classes": len(groups[k])} for k in groups
     }

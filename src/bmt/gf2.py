@@ -416,9 +416,15 @@ def _inverse(perm: list[int]) -> list[int]:
     return out
 
 
-def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
+def canonical_form_bits(
+    n: int, bits: int, known: set[tuple[int, ...]] | None = None
+) -> tuple[int, LinearMap]:
     """Least image of the point set under any invertible map, with a map
     achieving it.
+
+    known, if given, is a set of block sequences (below) of least images
+    at dimension n that the search reads, and to which it adds the blocks
+    of the form it returns, unless E is empty or full.
 
     Point sets are ordered by their membership sequence at points 1, 2, ...;
     whichever set contains the first point where they differ comes first.
@@ -524,9 +530,21 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     leaf earlier in depth first order, and the first least leaf of the
     unpruned search is always visited.  Forms and maps are the same as
     without any pruning.
+
+    A leaf whose blocks are in known stops the search.  Its image is a
+    GL(n)-image of E and the least image of some class, and distinct
+    classes have distinct least images, so it is the least image of E's
+    class: the leaf is least.  It is also the first least leaf the search
+    visits, since an earlier one would have the same blocks and would
+    have stopped it; up to it the search runs as without known.  That
+    first least leaf is the best leaf the full search returns, as no
+    later leaf is smaller and a tie does not replace it, so the form and
+    the map are the same with known as without.  The first leaf of a
+    node at depth n - 1 with known blocks is always a new best leaf, so
+    the test sits there, and the search returns -1, which unwinds every
+    node.
     """
-    size = 1 << n
-    full = (1 << size) - 2
+    full = (1 << (1 << n)) - 2
     if bits == 0 or bits == full:
         return bits, identity_map(n)
     # Entry v is the column E + v, entry v of cosets the coset v + W of
@@ -626,7 +644,7 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
                 if best_blocks is None or blocks < best_blocks:
                     best_blocks = blocks[:]
                     best_leaf, best_pos = leaf, None
-                    back = n
+                    back = -1 if known and tuple(blocks) in known else n
                 else:
                     if best_pos is None:
                         best_pos = _inverse(best_leaf)
@@ -643,9 +661,12 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
                     w = u ^ v
                     if fs := transvections[w] & moves:
                         f = (fs & -fs).bit_length() - 1
-                        auts.append(
-                            [y ^ w * ((f & y).bit_count() & 1) for y in range(size)]
-                        )
+                        # t(y + 2^i) = t(y) + t(e_i) for y below 2^i.
+                        t = [0]
+                        for i in range(n):
+                            ti = (1 << i) ^ (w if (f >> i) & 1 else 0)
+                            t += [x ^ ti for x in t]
+                        auts.append(t)
                         break
                 else:
                     stab = [phi for phi in fixing if phi[u] == u]
@@ -678,6 +699,8 @@ def canonical_form_bits(n: int, bits: int) -> tuple[int, LinearMap]:
     assert best_leaf is not None
     if best_pos is None:
         best_pos = _inverse(best_leaf)
+    if known is not None:
+        known.add(tuple(best_blocks))
     canon = 0
     for x in mask_points(bits):
         canon |= 1 << best_pos[x]

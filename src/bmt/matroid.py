@@ -109,10 +109,12 @@ def apply_map(g: LinearMap, m: Matroid) -> Matroid:
     return Matroid(g.n_to, g.apply_mask(m.bits))
 
 
-def canonical_form(m: Matroid) -> tuple[Matroid, LinearMap]:
+def canonical_form(
+    m: Matroid, known: set[tuple[int, ...]] | None = None
+) -> tuple[Matroid, LinearMap]:
     """Least isomorphic copy of m, and a map g with apply_map(g, m) equal
-    to it."""
-    bits, g = canonical_form_bits(m.n, m.bits)
+    to it.  known is canonical_form_bits's set of forms found at m.n."""
+    bits, g = canonical_form_bits(m.n, m.bits, known)
     return Matroid(m.n, bits), g
 
 

@@ -89,7 +89,14 @@ def test_representatives_are_canonical_members():
 
 
 def test_enumerate_threads_agree():
-    for tag, dim in (("i4tf_affine", 5), ("ai4", 4), ("i4tf_nonaffine", 6)):
+    # At ai4 d5 one process stops 27 searches at forms found before them,
+    # and the pool, whose tasks each get a copy of the empty set, none.
+    for tag, dim in (
+        ("i4tf_affine", 5),
+        ("ai4", 4),
+        ("ai4", 5),
+        ("i4tf_nonaffine", 6),
+    ):
         one = enumerate_generated(dim, tag, threads=1)
         two = enumerate_generated(dim, tag, threads=2)
         assert one.iso_classes == two.iso_classes
@@ -127,20 +134,63 @@ def test_canonical_form_stays_canonical_property(dim, bits):
     assert _stays_canonical(dim, canonical_form_bits(dim, bits)[0])
 
 
-# Canonical-form searches per census over the census benchmark workload:
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 5),
+    bits=st.integers(0, 2**32 - 1),
+    others=st.lists(st.integers(0, 2**32 - 1), max_size=4),
+    relabel=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_known_forms_leave_form_and_map_unchanged(dim, bits, others, relabel, seed):
+    # A search that reaches a form in known stops there; it must return the
+    # same form and the same map as a search without known, and add the
+    # form's blocks to known exactly when the form is new.
+    full = (1 << (1 << dim)) - 2
+    bits &= full
+    sources = [b & full for b in others]
+    if relabel:
+        sources.append(random_invertible_map(dim, seed).apply_mask(bits))
+    known = set()
+    for b in sources:
+        canonical_form_bits(dim, b, known)
+    forms = {canonical_form_bits(dim, b)[0] for b in sources}
+    size = len(known)
+    want = canonical_form_bits(dim, bits)
+    assert canonical_form_bits(dim, bits, known) == want
+    new = want[0] not in forms and bits not in (0, full)
+    assert len(known) == size + new
+
+
+# Canonical-form searches per census over the census benchmark workload,
+# and how many of them stopped at a form found before them at their level:
 # an image with a representative's bits (alpha0, expand0) skips its own.
-CENSUS_SEARCHES = {("i4tf_affine", 6): 36, ("ai4", 5): 106, ("i4tf_nonaffine", 7): 4}
+CENSUS_SEARCHES = {
+    ("i4tf_affine", 6): (36, 0),
+    ("ai4", 5): (106, 27),
+    ("i4tf_nonaffine", 7): (4, 0),
+}
 
 
 def test_census_searches_only_new_images(monkeypatch):
-    calls = []
-    real = census._canon_bits
-    monkeypatch.setattr(census, "_canon_bits", lambda m: calls.append(m) or real(m))
+    # A search that leaves its set of known forms as it was stopped early;
+    # the empty and the full set are their own forms and add nothing.
+    stops = []
+    real = census.canonical_form
+
+    def counted(m, known):
+        before = len(known)
+        out = real(m, known)
+        trivial = m.bits in (0, (1 << (1 << m.n)) - 2)
+        stops.append(len(known) == before and not trivial)
+        return out
+
+    monkeypatch.setattr(census, "canonical_form", counted)
     counts = {}
     for tag, dim in CENSUS_SEARCHES:
-        calls.clear()
+        stops.clear()
         enumerate_generated(dim, tag)
-        counts[tag, dim] = len(calls)
+        counts[tag, dim] = (len(stops), sum(stops))
     assert counts == CENSUS_SEARCHES
 
 
